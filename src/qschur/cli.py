@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 from .errors import QschurError
@@ -67,6 +68,8 @@ def parse_quaternion(text):
         vals = [float(t) for t in parts]
     except ValueError as exc:
         raise CLIParseError("bad quaternion %r: %s" % (text, exc)) from exc
+    if not all(math.isfinite(v) for v in vals):
+        raise CLIParseError("quaternion components must be finite, got %r" % text)
     vals += [0.0] * (4 - len(vals))
     return Quaternion(*vals)
 

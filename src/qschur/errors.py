@@ -9,6 +9,10 @@ class ShapeError(QschurError, ValueError):
     """Operands have incompatible shapes (or series sides)."""
 
 
+class NonFiniteInputError(QschurError, ValueError):
+    """Input holds a NaN or infinite number."""
+
+
 class SingularMatrixError(QschurError):
     """A linear solve hit a numerically rank-deficient matrix."""
 

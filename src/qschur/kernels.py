@@ -7,21 +7,25 @@ For a series S = sum_n p^n s_n between spaces with signatures sigma1
 
 Finite sections A_mu = [a_{n,m}]_{n,m<=mu} are Hermitian; the number of
 negative squares of the kernel is the supremum over mu of their negative
-eigenvalue counts, which stabilizes at finite mu for rational S.
+eigenvalue counts, which stabilizes at finite mu for rational S.  With L the
+block Toeplitz matrix of S (lower_toeplitz), A_mu = I (x) sigma2 - L (I (x) sigma1) L*,
+so every smaller section is a leading principal block of the largest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ShapeError
+import numpy as np
+
+from .errors import NotHermitianError, ShapeError
 from .quat import Quaternion
-from .qmatrix import QMatrix, as_qmatrix, block, herm_eig
-from .series import SliceSeries
+from .qmatrix import QMatrix, as_qmatrix
+from .series import SliceSeries, lower_toeplitz
 
 
 class KernelCoeffs:
-    """Lazy table of kernel coefficients a_{n,m} of a series."""
+    """Kernel coefficients a_{n,m} of a series, read off its closed-form sections."""
 
     def __init__(self, series, sigma1=None, sigma2=None):
         self.series = series
@@ -32,60 +36,39 @@ class KernelCoeffs:
             raise ShapeError("sigma1 must match the input dimension %d" % c)
         if self.sigma2.shape != (r, r):
             raise ShapeError("sigma2 must match the output dimension %d" % r)
-        self._cache = {}
 
     def coeff(self, n, m):
-        key = (n, m)
-        if key not in self._cache:
-            s = self.series
-            acc = QMatrix.zeros(s.rows, s.rows)
-            for k in range(min(n, m) + 1):
-                acc = acc + s.coeff(n - k) @ self.sigma1 @ s.coeff(m - k).adjoint()
-            a = (self.sigma2 - acc) if n == m else -acc
-            self._cache[key] = a
-        return self._cache[key]
+        """The block a_{n,m}, cut from the section A_max(n,m)."""
+        r = self.series.rows
+        return self.block_matrix(max(n, m))[n * r:(n + 1) * r, m * r:(m + 1) * r]
 
     def block_matrix(self, mu):
         """The Hermitian section A_mu = [a_{n,m}]_{n,m=0..mu}."""
-        return block([[self.coeff(n, m) for m in range(mu + 1)]
-                      for n in range(mu + 1)])
+        S = self.series
+        # L(S sigma1) = L(S) (I (x) sigma1), and L of a constant is I (x) it
+        diag = lower_toeplitz(SliceSeries.constant(self.sigma2, 0), mu)
+        return diag - lower_toeplitz(S * self.sigma1, mu) @ lower_toeplitz(S, mu).adjoint()
 
     def hermitian_defect(self, mu):
-        A = self.block_matrix(mu)
-        return (A - A.adjoint()).norm()
+        return self.block_matrix(mu).herm_defect()
 
     def value(self, p, q, degree):
-        """Truncated kernel value sum_{n,m<=degree} p^n a_{n,m} conj(q)^m."""
-        if not isinstance(p, Quaternion):
-            p = Quaternion._coerce(p)
-        if not isinstance(q, Quaternion):
-            q = Quaternion._coerce(q)
-        qc = q.conj()
+        """Truncated kernel value sum_{n,m<=degree} p^n a_{n,m} conj(q)^m, by
+        Horner sweeps over A_degree: block rows with p, then block columns with conj(q)."""
+        qc = Quaternion._coerce(q).conj()
         r = self.series.rows
-        acc = QMatrix.zeros(r, r)
-        for m in range(degree, -1, -1):
-            inner = self.coeff(degree, m)
-            for n in range(degree - 1, -1, -1):
-                inner = self.coeff(n, m) + p * inner
-            acc = inner + acc * qc
+        A = self.block_matrix(degree)
+        row = A[degree * r:, :]
+        for n in range(degree - 1, -1, -1):
+            row = A[n * r:(n + 1) * r, :] + p * row
+        acc = row[:, degree * r:]
+        for m in range(degree - 1, -1, -1):
+            acc = row[:, m * r:(m + 1) * r] + acc * qc
         return acc
 
 
 def schur_kernel_coeffs(S, sigma1=None, sigma2=None):
     return KernelCoeffs(S, sigma1, sigma2)
-
-
-def lower_toeplitz(f, mu):
-    """Block lower-triangular Toeplitz section L = [f_{n-m}]_{n>=m, n,m<=mu}.
-
-    Multiplication by L implements the star product on stacked coefficient
-    vectors: stacking the first mu+1 coefficients of g into x, L(f) x stacks
-    those of f * g.
-    """
-    r, c = f.shape
-    z = QMatrix.zeros(r, c)
-    return block([[f.coeff(n - m) if n >= m else z for m in range(mu + 1)]
-                  for n in range(mu + 1)])
 
 
 @dataclass
@@ -120,15 +103,18 @@ def neg_squares(S, sigma1=None, sigma2=None, mu_max=12, tol=None, window=3):
     """
     if mu_max + 1 > S.degree + 1:
         mu_max = S.degree
-    kc = KernelCoeffs(S, sigma1, sigma2)
-    counts = []
-    tols = []
+    A = KernelCoeffs(S, sigma1, sigma2).block_matrix(max(mu_max, 0))
+    if A.herm_defect() > 1e-10 * (1.0 + A.norm()):
+        raise NotHermitianError("kernel section is not Hermitian (defect %g)" % A.herm_defect())
+    r = S.rows
+    counts, tols = [], []
     for mu in range(mu_max + 1):
-        A = kc.block_matrix(mu)
-        spec, _ = herm_eig(A, tol=tol)
-        counts.append(spec.negatives)
-        scale = max((abs(x) for x in spec.eigenvalues), default=0.0)
-        tols.append(tol if tol is not None else 1e-8 * scale)
+        # chi eigenvalues come in duplicate pairs, one per quaternionic eigenvalue
+        w = np.linalg.eigvalsh(A[:(mu + 1) * r, :(mu + 1) * r].complex_adjoint())
+        lam = w.reshape(-1, 2).mean(axis=1)
+        t = tol if tol is not None else 1e-8 * float(np.max(np.abs(lam)))
+        counts.append(int(np.sum(lam < -t)))
+        tols.append(t)
     kappa = max(counts) if counts else 0
     tail = counts[-window:]
     stabilized = len(counts) >= window and all(c == kappa for c in tail)

@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import (
     CompletionFailureError,
+    NonFiniteInputError,
     NotDiagonalizableError,
     NotHermitianError,
     ShapeError,
@@ -133,7 +134,10 @@ class QMatrix:
         return Quaternion(a.real, a.imag, b.real, b.imag)
 
     def __getitem__(self, idx):
+        """M[i, j] is an entry; M[r0:r1, c0:c1] is a read-only view of a block."""
         i, j = idx
+        if isinstance(i, slice) and isinstance(j, slice):
+            return QMatrix(self._a[i, j], self._b[i, j], copy=False)
         return self.entry(i, j)
 
     def item(self):
@@ -256,6 +260,8 @@ class QMatrix:
         if len(entries) != rows * cols:
             raise ShapeError("expected %d entries, got %d" % (rows * cols, len(entries)))
         comp = np.asarray(entries, dtype=float).reshape(rows, cols, 4)
+        if not np.all(np.isfinite(comp)):
+            raise NonFiniteInputError("matrix entries must be finite numbers")
         return cls.from_components(comp[..., 0], comp[..., 1], comp[..., 2], comp[..., 3])
 
 
@@ -505,36 +511,77 @@ def range_basis(M, threshold):
 # -- spectra -------------------------------------------------------------------------
 
 
-def _cluster_indices(keys, tols):
-    """Union-find clustering of 2-d points with per-pair tolerances."""
-    n = len(keys)
-    parent = list(range(n))
+def _runs(members, x, tol):
+    """Cut members, sorted by x, into runs: a run ends before the first member
+    more than tol[first] past its first member, so none spans more than that."""
+    members = members[np.argsort(x[members], kind="stable")]
+    runs, start = [], 0
+    for k in range(1, len(members) + 1):
+        if k == len(members) or x[members[k]] - x[members[start]] > tol[members[start]]:
+            runs.append(members[start:k])
+            start = k
+    return runs
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            t = max(tols[i], tols[j])
-            if abs(keys[i][0] - keys[j][0]) <= t and abs(keys[i][1] - keys[j][1]) <= t:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
+def _conjugate_pairs(w, tol):
+    """Split the 2n eigenvalues w of chi(T) into n conjugate pairs.
+
+    Each eigenvalue with Im > tol, from the largest Im down, takes the free
+    eigenvalue nearest to its conjugate.  What is left is near the real axis,
+    where rounding gives either sign of Im; sorted by Re it pairs off in
+    neighbours.  Returns index arrays (first, second) of length n.
+    """
+    free = np.ones(len(w), dtype=bool)
+    first, second = [], []
+    for i in np.argsort(-w.imag, kind="stable"):
+        if free[i] and w[i].imag > tol[i]:
+            free[i] = False
+            cand = np.flatnonzero(free)
+            j = cand[np.argmin(np.abs(w[cand] - np.conj(w[i])))]
+            free[j] = False
+            first.append(i)
+            second.append(j)
+    near = np.flatnonzero(free)
+    near = near[np.argsort(w[near].real, kind="stable")]
+    first = np.array(first + list(near[0::2]), dtype=int)
+    second = np.array(second + list(near[1::2]), dtype=int)
+    return first, second
+
+
+def _eigen_spheres(w, cluster_tol):
+    """Group the 2n eigenvalues w of chi(T) into eigenvalue spheres.
+
+    The eigenvalues are first split into conjugate pairs (real ones into
+    equal pairs), which are never split again.  Each pair has the key
+    (Re, |Im|) averaged over its two members; the keys are clustered by
+    sorted passes, on Re and then on |Im| within each Re-run.  A cluster
+    whose first pair has modulus m spans at most cluster_tol * (1 + m) in
+    either coordinate, so a chain of close neighbours is not merged into one
+    wide cluster.
+
+    Returns a list of (Sphere, multiplicity, indices into w), sorted by (re, im).
+    """
+    tol = cluster_tol * (1.0 + np.abs(w))
+    first, second = _conjugate_pairs(w, tol)
+    key = np.column_stack([(w.real[first] + w.real[second]) / 2,
+                           (np.abs(w.imag[first]) + np.abs(w.imag[second])) / 2])
+    pairs = np.arange(len(first))
+    out = []
+    for run in _runs(pairs, key[:, 0], tol[first]):
+        for grp in _runs(run, key[:, 1], tol[first]):
+            re, im = key[grp].mean(axis=0)
+            idx = np.concatenate([first[grp], second[grp]])
+            out.append((Sphere(float(re), float(im)), len(grp), idx))
+    out.sort(key=lambda t: (t[0].re, t[0].im_mag))
+    return out
 
 
 def right_eigen_spheres(T, cluster_tol=1e-8):
     """Eigenvalue spheres of the right spectrum with multiplicities.
 
-    Eigenvalues of chi(T) come in conjugate pairs; clustering the points
-    (Re, |Im|) and halving the cluster sizes yields one entry per sphere.
-    Real eigenvalues occur with even chi-multiplicity and contribute half.
+    Eigenvalues of chi(T) come in conjugate pairs (real ones in equal
+    pairs); clustering one point (Re, |Im|) per pair yields one entry per
+    sphere, and no cluster spans more than cluster_tol * (1 + modulus).
 
     Returns a list of (Sphere, multiplicity), sorted by (re, im).
     """
@@ -542,16 +589,7 @@ def right_eigen_spheres(T, cluster_tol=1e-8):
     if not T.is_square():
         raise ShapeError("spectrum of a non-square matrix")
     w = np.linalg.eigvals(T.complex_adjoint())
-    keys = [(float(z.real), float(abs(z.imag))) for z in w]
-    tols = [cluster_tol * (1.0 + abs(z)) for z in w]
-    out = []
-    for grp in _cluster_indices(keys, tols):
-        re = float(np.mean([keys[i][0] for i in grp]))
-        im = float(np.mean([keys[i][1] for i in grp]))
-        mult = max(1, int(round(len(grp) / 2.0)))
-        out.append((Sphere(re, im), mult))
-    out.sort(key=lambda t: (t[0].re, t[0].im_mag))
-    return out
+    return [(sphere, mult) for sphere, mult, _ in _eigen_spheres(w, cluster_tol)]
 
 
 def right_eigen_decomposition(T, cluster_tol=1e-8, cond_tol=1e-8):
@@ -572,15 +610,9 @@ def right_eigen_decomposition(T, cluster_tol=1e-8, cond_tol=1e-8):
     if not T.is_square():
         raise ShapeError("eigendecomposition of a non-square matrix")
     w, U = np.linalg.eig(T.complex_adjoint())
-    keys = [(float(z.real), float(abs(z.imag))) for z in w]
-    tols = [cluster_tol * (1.0 + abs(z)) for z in w]
     parts = []
-    for grp in _cluster_indices(keys, tols):
-        re = float(np.mean([keys[i][0] for i in grp]))
-        im = float(np.mean([keys[i][1] for i in grp]))
-        mult = len(grp) // 2
-        if mult == 0:
-            raise NotDiagonalizableError("eigenvalue cluster of odd size")
+    for sphere, mult, grp in _eigen_spheres(w, cluster_tol):
+        re, im = sphere.re, sphere.im_mag
         if im <= cluster_tol * (1.0 + math.hypot(re, im)):
             # real sphere: the eigenspace is a genuine quaternionic subspace
             cand = _columns_from_complex(U[:, grp], n)
@@ -602,7 +634,6 @@ def right_eigen_decomposition(T, cluster_tol=1e-8, cond_tol=1e-8):
             raise NotDiagonalizableError(
                 "eigenspace dimension %d below multiplicity %d" % (got, mult))
         parts.append((Sphere(re, im), rep, basis))
-    parts.sort(key=lambda t: (t[0].re, t[0].im_mag))
     if sum(p[2].cols for p in parts) != n:
         raise NotDiagonalizableError("eigenvectors do not span")
     V = hstack([p[2] for p in parts])

@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import NonFiniteInputError
+
 
 def _tol_zero(scale):
     # scale-relative threshold for "is this zero/real" decisions
@@ -279,9 +281,12 @@ def slice_decompose(p):
     """Split p = x0 + I*x1 into (x0, x1, I); I is None for real p.
 
     x1 = |Im p| is always nonnegative; for real p (within 1e-13*(1+|p|)) the
-    slice direction is undefined and None is returned.
+    slice direction is undefined and None is returned.  Raises
+    NonFiniteInputError for a NaN or infinite component.
     """
     x1 = p.imag_norm()
+    if not math.isfinite(x1 + p.x0):
+        raise NonFiniteInputError("no slice decomposition of %r" % (p,))
     if x1 <= _tol_zero(abs(p)):
         return p.x0, 0.0, None
     return p.x0, x1, UnitImaginary(p.x1 / x1, p.x2 / x1, p.x3 / x1)

@@ -262,8 +262,9 @@ def kernel_identity_residuals(R, pairs, degree=64):
     -s_n sigma s_m*) with equal boundary rows.  The only gap left is the
     series truncation, so keep |p|, |q| away from 1.
 
-    The coefficient table is shared across all pairs, so batching is much
-    cheaper than repeated single-pair calls.
+    The series S and P^{-1} are built once for all pairs; each pair still
+    builds its own kernel section A_degree (KernelCoeffs.value), so a batch
+    costs about as much per pair as single-pair calls.
     """
     S = realization_series(R, degree)
     kc = _kernels.schur_kernel_coeffs(S, sigma1=R.sigma, sigma2=R.sigma)

@@ -16,37 +16,44 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotInvertibleAtZeroError, ShapeError, SingularMatrixError
-from .quat import Quaternion, slice_decompose
-from .qmatrix import QMatrix, as_qmatrix, inverse, matrix_power, solve
+from .quat import Quaternion
+from .qmatrix import QMatrix, as_qmatrix, inverse, vstack
 
 
 class SliceSeries:
-    """Truncated series; immutable list of equally-shaped QMatrix coefficients."""
+    """Truncated series, immutable: two read-only complex arrays of shape
+    (degree + 1, rows, cols) in the a + b*j split of QMatrix."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_a", "_b")
 
     def __init__(self, coeffs):
         coeffs = [as_qmatrix(c) for c in coeffs]
         if not coeffs:
             raise ShapeError("a series needs at least the constant coefficient")
-        shape = coeffs[0].shape
-        for c in coeffs[1:]:
-            if c.shape != shape:
-                raise ShapeError("coefficient shapes differ: %s vs %s" % (shape, c.shape))
-        self._coeffs = tuple(coeffs)
+        if any(c.shape != coeffs[0].shape for c in coeffs):
+            raise ShapeError("coefficient shapes differ: %s" % [c.shape for c in coeffs])
+        s = SliceSeries._from_stacked(vstack(coeffs), len(coeffs) - 1)
+        self._a, self._b = s._a, s._b
+
+    @classmethod
+    def _from_arrays(cls, a, b):
+        a.setflags(write=False)
+        b.setflags(write=False)
+        out = cls.__new__(cls)
+        out._a, out._b = a, b
+        return out
+
+    @classmethod
+    def _from_stacked(cls, M, degree):
+        return cls._from_arrays(M._a.reshape(degree + 1, -1, M.cols),
+                                M._b.reshape(degree + 1, -1, M.cols))
 
     # -- constructors -----------------------------------------------------------
 
     @classmethod
     def polynomial(cls, coeffs, degree=None):
         """Series from explicit coefficients, zero-padded up to degree."""
-        coeffs = [as_qmatrix(c) for c in coeffs]
-        if not coeffs:
-            raise ShapeError("empty coefficient list")
-        if degree is not None and degree + 1 > len(coeffs):
-            r, c = coeffs[0].shape
-            coeffs = coeffs + [QMatrix.zeros(r, c)] * (degree + 1 - len(coeffs))
-        return cls(coeffs)
+        return cls(coeffs).pad(degree or 0)
 
     @classmethod
     def constant(cls, value, degree):
@@ -65,45 +72,50 @@ class SliceSeries:
 
     @property
     def degree(self):
-        return len(self._coeffs) - 1
+        return len(self._a) - 1
 
     @property
     def shape(self):
-        return self._coeffs[0].shape
+        return self._a.shape[1:]
 
     @property
     def rows(self):
-        return self._coeffs[0].rows
+        return self._a.shape[1]
 
     @property
     def cols(self):
-        return self._coeffs[0].cols
+        return self._a.shape[2]
 
     def coeff(self, n):
         """n-th coefficient; zero beyond the truncation degree."""
         if 0 <= n <= self.degree:
-            return self._coeffs[n]
+            return QMatrix(self._a[n], self._b[n], copy=False)
         return QMatrix.zeros(*self.shape)
 
     def coeffs(self):
-        return list(self._coeffs)
+        return [self.coeff(n) for n in range(self.degree + 1)]
+
+    def stacked(self):
+        """The coefficients stacked vertically, a ((degree + 1) * rows, cols) QMatrix."""
+        return QMatrix(self._a.reshape(-1, self.cols), self._b.reshape(-1, self.cols),
+                       copy=False)
+
+    def _zeros_around(self, before, after):
+        w = ((before, after), (0, 0), (0, 0))
+        return SliceSeries._from_arrays(np.pad(self._a, w), np.pad(self._b, w))
 
     def pad(self, degree):
-        if degree <= self.degree:
-            return self
-        z = QMatrix.zeros(*self.shape)
-        return SliceSeries(list(self._coeffs) + [z] * (degree - self.degree))
+        return self if degree <= self.degree else self._zeros_around(0, degree - self.degree)
 
     def truncate(self, degree):
-        return SliceSeries(self._coeffs[:degree + 1])
+        return SliceSeries._from_arrays(self._a[:degree + 1], self._b[:degree + 1])
 
     def shift(self, k):
         """Multiply by p^k."""
-        z = QMatrix.zeros(*self.shape)
-        return SliceSeries([z] * k + list(self._coeffs))
+        return self._zeros_around(k, 0)
 
     def norm_tail(self, start=0):
-        return float(sum(c.norm() for c in self._coeffs[start:]))
+        return float(sum(c.norm() for c in self.coeffs()[start:]))
 
     # -- ring operations ------------------------------------------------------------
 
@@ -112,60 +124,60 @@ class SliceSeries:
             return other
         return SliceSeries.constant(as_qmatrix(other), self.degree)
 
-    def __add__(self, other):
+    def _common(self, other):
         other = self._coerce(other)
         d = min(self.degree, other.degree)
-        return SliceSeries([self._coeffs[n] + other._coeffs[n] for n in range(d + 1)])
+        return d, self.truncate(d).stacked(), other.truncate(d).stacked()
 
-    def __radd__(self, other):
-        return self.__add__(other)
+    def __add__(self, other):
+        d, x, y = self._common(other)
+        return SliceSeries._from_stacked(x + y, d)
+
+    __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        d = min(self.degree, other.degree)
-        return SliceSeries([self._coeffs[n] - other._coeffs[n] for n in range(d + 1)])
+        d, x, y = self._common(other)
+        return SliceSeries._from_stacked(x - y, d)
 
     def __rsub__(self, other):
         return self._coerce(other).__sub__(self)
 
     def __neg__(self):
-        return SliceSeries([-c for c in self._coeffs])
+        return SliceSeries._from_stacked(-self.stacked(), self.degree)
 
     def __mul__(self, other):
         """Star product with a series, or the star multiple by a constant."""
         if isinstance(other, SliceSeries):
             return star_mul(self, other)
         q = as_qmatrix(other)
-        return SliceSeries([c @ q if q.rows == self.cols else c * other
-                            for c in self._coeffs])
+        M = self.stacked() @ q if q.rows == self.cols else self.stacked() * other
+        return SliceSeries._from_stacked(M, self.degree)
 
     def __rmul__(self, other):
-        # left star multiple by a constant: coefficientwise left product
+        """Left star multiple by a constant q: q c_n on every coefficient."""
         if isinstance(other, (int, float)):
-            return SliceSeries([c * other for c in self._coeffs])
-        q = as_qmatrix(other)
-        return SliceSeries([q @ c for c in self._coeffs])
+            return self * other
+        return star_mul(self._coerce(other), self)
 
     def conj(self):
         """Entrywise conjugate of every coefficient."""
-        return SliceSeries([c.conj_entries() for c in self._coeffs])
+        return SliceSeries._from_stacked(self.stacked().conj_entries(), self.degree)
 
     def series_adjoint(self):
-        return SliceSeries([c.adjoint() for c in self._coeffs])
+        """Adjoint of every coefficient: the entrywise conjugate, transposed per block."""
+        c = self.conj()
+        return SliceSeries._from_arrays(c._a.transpose(0, 2, 1), c._b.transpose(0, 2, 1))
 
     # -- evaluation -------------------------------------------------------------------
 
     def eval(self, p):
         """Pointwise value at a quaternion p, by left Horner recursion."""
-        if not isinstance(p, Quaternion):
-            p = Quaternion._coerce(p)
-        acc = self._coeffs[-1]
+        acc = self.coeff(self.degree)
         for n in range(self.degree - 1, -1, -1):
-            acc = self._coeffs[n] + p * acc
+            acc = self.coeff(n) + p * acc
         return acc
 
-    def __call__(self, p):
-        return self.eval(p)
+    __call__ = eval
 
     def __repr__(self):
         return "SliceSeries(degree=%d, shape=%s)" % (self.degree, (self.shape,))
@@ -174,11 +186,27 @@ class SliceSeries:
 
     def to_dict(self):
         return {"degree": self.degree,
-                "coefficients": [c.to_dict() for c in self._coeffs]}
+                "coefficients": [c.to_dict() for c in self.coeffs()]}
 
     @classmethod
     def from_dict(cls, d):
         return cls([QMatrix.from_dict(c) for c in d["coefficients"]])
+
+
+def lower_toeplitz(f, mu):
+    """Block lower-triangular Toeplitz section L = [f_{n-m}]_{n>=m, n,m<=mu}.
+
+    Multiplication by L implements the star product on stacked coefficient
+    vectors: stacking the first mu+1 coefficients of g into x, L(f) x stacks
+    those of f * g.  Coefficients past the degree of f are zero.
+    """
+    r, c = f.shape
+    z = f.truncate(mu).pad(mu + 1)  # coefficient mu + 1 is zero
+    idx = np.subtract.outer(np.arange(mu + 1), np.arange(mu + 1))
+    idx[idx < 0] = mu + 1
+    shape = ((mu + 1) * r, (mu + 1) * c)
+    return QMatrix(z._a[idx].transpose(0, 2, 1, 3).reshape(shape),
+                   z._b[idx].transpose(0, 2, 1, 3).reshape(shape), copy=False)
 
 
 def star_mul(f, g):
@@ -186,13 +214,7 @@ def star_mul(f, g):
     if f.cols != g.rows:
         raise ShapeError("star product shape mismatch %s * %s" % (f.shape, g.shape))
     d = min(f.degree, g.degree)
-    out = []
-    for n in range(d + 1):
-        acc = QMatrix.zeros(f.rows, g.cols)
-        for k in range(n + 1):
-            acc = acc + f.coeff(k) @ g.coeff(n - k)
-        out.append(acc)
-    return SliceSeries(out)
+    return SliceSeries._from_stacked(lower_toeplitz(f, d) @ g.truncate(d).stacked(), d)
 
 
 def star_pow(f, k):
@@ -217,14 +239,13 @@ def series_sym(f, tol=1e-10):
     if f.shape != (1, 1):
         raise ShapeError("symmetrization is defined for scalar series")
     fs = star_mul(f.conj(), f)
-    scale = max((c.norm() for c in fs.coeffs()), default=0.0)
-    out = []
-    for c in fs.coeffs():
-        q = c.item()
+    coeffs = [c.item() for c in fs.coeffs()]
+    scale = max(abs(q) for q in coeffs)
+    for q in coeffs:
         if q.imag_norm() > tol * (1.0 + scale):
             raise ShapeError("symmetrized coefficient not real: %r" % (q,))
-        out.append(QMatrix.scalar(Quaternion(q.x0)))
-    return SliceSeries(out)
+    # the real part (q + conj q) / 2 of every coefficient, exact in floating point
+    return (fs + fs.conj()) * 0.5
 
 
 def star_solve_left(f, g, rtol=1e-12):
@@ -243,13 +264,15 @@ def star_solve_left(f, g, rtol=1e-12):
         raise NotInvertibleAtZeroError(
             "constant coefficient is singular, no star inverse exists") from exc
     d = min(f.degree, g.degree)
-    xs = []
-    for n in range(d + 1):
-        acc = g.coeff(n)
-        for k in range(1, n + 1):
-            acc = acc - f.coeff(k) @ xs[n - k]
-        xs.append(c0_inv @ acc)
-    return SliceSeries(xs)
+    # x_n = f_0^{-1} (g_n - [f_n ... f_1] [x_0; ...; x_{n-1}]), the row left
+    # of the diagonal in block row n of L(f)
+    L = lower_toeplitz(f, d)
+    r = f.rows
+    x = c0_inv @ g.coeff(0)
+    for n in range(1, d + 1):
+        rhs = g.coeff(n) - L[n * r:(n + 1) * r, :n * r] @ x
+        x = vstack([x, c0_inv @ rhs])
+    return SliceSeries._from_stacked(x, d)
 
 
 def star_inverse(f, rtol=1e-12):
@@ -268,14 +291,8 @@ def star_resolvent(A, degree):
     return SliceSeries(coeffs)
 
 
-def _real_quadratic(A, p):
-    """|p|^2 A^2 - 2 Re(p) A + I, the real-coefficient denominator at p."""
-    n = A.rows
-    return p.norm_sq() * (A @ A) - (2.0 * p.x0) * A + QMatrix.eye(n)
-
-
 def star_resolvent_eval(A, p, rtol=1e-12):
-    """Closed-form value of (I - pA)^{-*} at p.
+    """Closed-form value of (I - pA)^{-*} at p: star_left_eval with C = I.
 
     Equal to (I - conj(p) A) (|p|^2 A^2 - 2 Re(p) A + I)^{-1}; valid whenever
     the quadratic factor is invertible, independently of series convergence.
@@ -283,11 +300,7 @@ def star_resolvent_eval(A, p, rtol=1e-12):
     A = as_qmatrix(A)
     if not A.is_square():
         raise ShapeError("resolvent of a non-square matrix")
-    if not isinstance(p, Quaternion):
-        p = Quaternion._coerce(p)
-    R = _real_quadratic(A, p)
-    Rin = inverse(R, rtol)
-    return (QMatrix.eye(A.rows) - p.conj() * A) @ Rin
+    return star_left_eval(QMatrix.eye(A.rows), A, p, rtol)
 
 
 def star_left_eval(C, A, p, rtol=1e-12):
@@ -302,8 +315,6 @@ def star_left_eval(C, A, p, rtol=1e-12):
     A = as_qmatrix(A)
     if C.cols != A.rows or not A.is_square():
         raise ShapeError("shape mismatch in star_left_eval")
-    if not isinstance(p, Quaternion):
-        p = Quaternion._coerce(p)
-    R = _real_quadratic(A, p)
-    Rin = inverse(R, rtol)
-    return (C - p.conj() * (C @ A)) @ Rin
+    p = Quaternion._coerce(p)
+    R = p.norm_sq() * (A @ A) - (2.0 * p.x0) * A + QMatrix.eye(A.rows)
+    return (C - p.conj() * (C @ A)) @ inverse(R, rtol)

@@ -81,6 +81,23 @@ def test_missing_file_exits_2(capsys):
     assert "error" in err
 
 
+def test_spectrum_non_finite_matrix_exits_2(tmp_path, capsys):
+    d = QMatrix.eye(2).to_dict()
+    d["entries"][0][0] = float("nan")
+    f = tmp_path / "nan.json"
+    f.write_text(json.dumps(d))
+    rc, _, err = run(capsys, ["spectrum", "--input", str(f)])
+    assert rc == 2
+    assert err.startswith("error:")
+
+
+def test_sspec_non_finite_point_exits_2(capsys):
+    for point in ("nan", "0.5,inf"):
+        rc, _, err = run(capsys, ["sspec", "--random", "3", "--point", point])
+        assert rc == 2
+        assert err.startswith("error:")
+
+
 def test_unknown_subcommand_exits_3(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -223,6 +240,8 @@ def test_parse_quaternion_forms():
         parse_quaternion("1,2,3,4,5")
     with pytest.raises(CLIParseError):
         parse_quaternion("one")
+    with pytest.raises(CLIParseError):
+        parse_quaternion("1,nan")
 
 
 def test_parse_zero_forms():

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qschur import (
+    NotHermitianError,
     QMatrix,
     Quaternion,
     QJ,
@@ -19,7 +21,16 @@ from qschur import (
     star_inverse,
 )
 from qschur.kernels import KernelCoeffs
-from qschur.sampling import ball_point, random_scalar_series, rng
+from qschur.sampling import (
+    ball_point,
+    random_hermitian,
+    random_qmatrix,
+    random_scalar_series,
+    rng,
+)
+
+# bounded, seed-free property runs: each test sees the same examples every time
+PROPERTY = settings(derandomize=True, max_examples=25, deadline=None)
 
 
 def brute_coeff(S, n, m):
@@ -39,6 +50,42 @@ def test_coeff_matches_definition():
         for m in range(6):
             want = brute_coeff(S, n, m)
             assert (kc.coeff(n, m).item() - want).is_zero(tol=1e-12)
+
+
+def brute_block(S, sigma1, sigma2, n, m):
+    """a_{n,m} entry by entry in Quaternion arithmetic, any signatures."""
+    r, c = S.shape
+    out = [[sigma2.entry(i, j) if n == m else Quaternion() for j in range(r)]
+           for i in range(r)]
+    for k in range(min(n, m) + 1):
+        left, right = S.coeff(n - k), S.coeff(m - k)
+        for i in range(r):
+            for j in range(r):
+                for a in range(c):
+                    for b in range(c):
+                        out[i][j] = out[i][j] - (left.entry(i, a) * sigma1.entry(a, b)
+                                                 * right.entry(j, b).conj())
+    return QMatrix.from_entries(out)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2 ** 32 - 1), r=st.integers(1, 3), c=st.integers(1, 3),
+       degree=st.integers(0, 5), mu=st.integers(0, 6))
+def test_block_matrix_matches_entrywise_formula(seed, r, c, degree, mu):
+    """Sections against the definition, with indefinite non-identity signatures
+    and sections reaching past the series degree."""
+    gen = rng(seed)
+    S = SliceSeries([random_qmatrix(gen, r, c, 0.5) for _ in range(degree + 1)])
+    sigma1 = random_hermitian(gen, c)
+    sigma2 = random_hermitian(gen, r)
+    A = KernelCoeffs(S, sigma1, sigma2).block_matrix(mu)
+    assert A.shape == ((mu + 1) * r, (mu + 1) * r)
+    for n in range(mu + 1):
+        for m in range(mu + 1):
+            want = brute_block(S, sigma1, sigma2, n, m)
+            got = QMatrix.from_entries([[A.entry(n * r + i, m * r + j) for j in range(r)]
+                                        for i in range(r)])
+            assert (got - want).norm() <= 1e-13 * (1.0 + want.norm())
 
 
 def test_value_matches_double_series():
@@ -139,6 +186,27 @@ def test_unimodular_constant_boundary_case():
     c = Quaternion(0.6, 0.8)
     res = neg_squares(SliceSeries.constant(c, 8), mu_max=6)
     assert res.kappa == 0
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2 ** 32 - 1), kappa=st.integers(0, 2), mu_max=st.integers(0, 10))
+def test_neg_squares_matches_herm_eig_per_section(seed, kappa, mu_max):
+    gen = rng(seed)
+    S = SliceSeries.constant(ball_point(gen, 0.9), 10)
+    for _ in range(kappa):
+        b = ball_point(gen, 0.8)
+        S = star_mul(S, blaschke_reciprocal(b, degree=10).series)
+    res = neg_squares(S, mu_max=mu_max)
+    kc = schur_kernel_coeffs(S)
+    want = [herm_eig(kc.block_matrix(mu))[0].negatives for mu in range(mu_max + 1)]
+    assert res.counts == want
+    assert res.kappa == max(want)
+
+
+def test_non_hermitian_signature_rejected():
+    S = random_scalar_series(rng(69), 6)
+    with pytest.raises(NotHermitianError):
+        neg_squares(S, sigma1=QMatrix.scalar(Quaternion(0.0, 1.0)), mu_max=4)
 
 
 def test_counts_table_and_clamp():

@@ -15,6 +15,7 @@ from qschur import (
     QJ,
     QK,
     Sphere,
+    NonFiniteInputError,
     NotHermitianError,
     NotDiagonalizableError,
     ShapeError,
@@ -204,6 +205,54 @@ def test_right_eigen_spheres_multiplicity():
     got = right_eigen_spheres(T)
     assert [(round(s.re, 6), round(s.im_mag, 6), m) for s, m in got] == [
         (-2.0, 0.0, 1), (0.3, 0.4, 2)]
+
+
+def test_eigen_sphere_clusters_do_not_chain():
+    """Five spheres 0.9e-8 apart span 3.6e-8, well past the 1e-8 tolerance."""
+    T = QMatrix.diag([Quaternion(0.5 + i * 0.9e-8, 0.3) for i in range(5)])
+    got = right_eigen_spheres(T)
+    assert sum(m for _, m in got) == 5
+    assert max(m for _, m in got) <= 2
+    for sphere, _ in got:
+        assert abs(sphere.im_mag - 0.3) < 1e-12
+
+
+def test_spheres_sharing_a_real_part_keep_their_multiplicities():
+    """Equal real parts interleave in any one sort order; clustering on Re
+    first and |Im| second still finds each sphere whole."""
+    for seed in range(20):
+        pts = [Quaternion(0.5, 0.3), Quaternion(0.5, 0, 0.9), Quaternion(0.5, 0, 0, 0.3),
+               Quaternion(0.5), Quaternion(0.5), Quaternion(0.5, 0.2, 0.1, 0.2)]
+        T = matrix_with_spectrum(rng(seed), pts)
+        got = right_eigen_spheres(T)
+        want = [(0.5, 0.0, 2), (0.5, 0.3, 3), (0.5, 0.9, 1)]
+        assert sorted((round(s.re, 6), round(s.im_mag, 6), m) for s, m in got) == want
+        parts, _ = right_eigen_decomposition(T)
+        assert sorted((round(p[0].re, 6), round(p[0].im_mag, 6), p[2].cols)
+                      for p in parts) == want
+
+
+def test_distinct_real_spheres_of_a_dense_matrix_stay_apart():
+    """A real double eigenvalue of chi(T) comes back from eig with rounding
+    noise of either sign in Im, so picking one member per pair by the sign of
+    Im can take both members of one real pair and lose another real sphere."""
+    for seed in range(20):
+        T = matrix_with_spectrum(
+            rng(seed), [Quaternion(0.2), Quaternion(0.7), Quaternion(0.3, 0.4)])
+        got = right_eigen_spheres(T)
+        assert [(round(s.re, 6), round(s.im_mag, 6), m) for s, m in got] == [
+            (0.2, 0.0, 1), (0.3, 0.4, 1), (0.7, 0.0, 1)]
+        parts, _ = right_eigen_decomposition(T)
+        assert len(parts) == 3
+        for _, rep, basis in parts:
+            assert (T @ basis - basis * rep).norm() < 1e-10
+
+
+def test_from_dict_rejects_non_finite_entries():
+    d = QMatrix.eye(2).to_dict()
+    d["entries"][3][2] = float("nan")
+    with pytest.raises(NonFiniteInputError):
+        QMatrix.from_dict(d)
 
 
 def test_char_operator_singular_exactly_on_spectrum():

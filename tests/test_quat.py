@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from qschur import (
+    NonFiniteInputError,
     Quaternion,
     QI,
     QJ,
@@ -165,6 +166,15 @@ def test_sphere_of_and_char_poly():
         q = s.representative(unit)
         v = q * q - (2.0 * s.re) * q + Quaternion(s.modulus() ** 2)
         assert v.is_zero(tol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_quaternion_has_no_sphere(bad):
+    for q in (Quaternion(bad), Quaternion(0.5, bad), Quaternion(0.5, 0.1, 0.2, bad)):
+        with pytest.raises(NonFiniteInputError):
+            sphere_of(q)
+        with pytest.raises(ValueError):
+            slice_decompose(q)
 
 
 def test_sphere_representative_and_isclose():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qschur import (
     NotInvertibleAtZeroError,
@@ -10,6 +11,7 @@ from qschur import (
     QI,
     QJ,
     QK,
+    ShapeError,
     SliceSeries,
     series_conj,
     series_sym,
@@ -21,19 +23,30 @@ from qschur import (
     star_resolvent_eval,
     star_solve_left,
 )
-from qschur.sampling import random_quaternion, random_scalar_series, rng
+from qschur.sampling import random_qmatrix, random_quaternion, random_scalar_series, rng
+
+# bounded, seed-free property runs: each test sees the same examples every time
+PROPERTY = settings(derandomize=True, max_examples=25, deadline=None)
 
 
 def conv_brute(f, g):
-    """Plain double-loop convolution of scalar coefficient lists."""
+    """Plain loop convolution, entry by entry in Quaternion arithmetic."""
     d = min(f.degree, g.degree)
     out = []
     for n in range(d + 1):
-        acc = Quaternion()
+        acc = [[Quaternion() for _ in range(g.cols)] for _ in range(f.rows)]
         for k in range(n + 1):
-            acc = acc + f.coeff(k).item() * g.coeff(n - k).item()
-        out.append(acc)
+            a, b = f.coeff(k), g.coeff(n - k)
+            for i in range(f.rows):
+                for j in range(g.cols):
+                    for l in range(f.cols):
+                        acc[i][j] = acc[i][j] + a.entry(i, l) * b.entry(l, j)
+        out.append(QMatrix.from_entries(acc))
     return out
+
+
+def random_series(gen, degree, rows, cols, scale=0.5):
+    return SliceSeries([random_qmatrix(gen, rows, cols, scale) for _ in range(degree + 1)])
 
 
 def scal(cs, degree=None):
@@ -48,7 +61,37 @@ def test_star_mul_matches_brute_force_convolution():
     want = conv_brute(f1, f2)
     assert prod.degree == 9
     for n, w in enumerate(want):
-        assert (prod.coeff(n).item() - w).is_zero(tol=1e-13)
+        assert (prod.coeff(n).item() - w.item()).is_zero(tol=1e-13)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2 ** 32 - 1), r=st.integers(1, 3), k=st.integers(1, 3),
+       c=st.integers(1, 3), df=st.integers(0, 6), dg=st.integers(0, 6))
+def test_star_mul_matches_brute_force_on_matrix_coefficients(seed, r, k, c, df, dg):
+    gen = rng(seed)
+    f = random_series(gen, df, r, k)
+    g = random_series(gen, dg, k, c)
+    prod = star_mul(f, g)
+    want = conv_brute(f, g)
+    assert prod.degree == min(df, dg) and prod.shape == (r, c)
+    for n, w in enumerate(want):
+        assert (prod.coeff(n) - w).norm() <= 1e-13 * (1.0 + w.norm())
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2 ** 32 - 1), r=st.integers(1, 3), c=st.integers(1, 3),
+       df=st.integers(0, 6), dg=st.integers(0, 6))
+def test_star_solve_left_residual(seed, r, c, df, dg):
+    """f * x = g, with the product formed by the brute-force convolution."""
+    gen = rng(seed)
+    f = random_series(gen, df, r, r, scale=0.2)
+    f = SliceSeries([f.coeff(0) + 2 * QMatrix.eye(r)] + f.coeffs()[1:])
+    g = random_series(gen, dg, r, c)
+    x = star_solve_left(f, g)
+    assert x.degree == min(df, dg) and x.shape == (r, c)
+    scale = 1.0 + max(m.norm() for m in x.coeffs())
+    for n, w in enumerate(conv_brute(f, x)):
+        assert (w - g.coeff(n)).norm() <= 1e-12 * scale
 
 
 def test_star_mul_noncommutative():
@@ -131,6 +174,18 @@ def test_scalar_multiplication_sides():
     right = f * QI
     assert (left.coeff(0).item() - QI * QJ).is_zero()
     assert (right.coeff(0).item() - QJ * QI).is_zero()
+
+
+def test_left_constant_multiple_of_a_matrix_series():
+    g = rng(7)
+    f = random_series(g, 3, 2, 3)
+    M = random_qmatrix(g, 4, 2)
+    h = M * f
+    assert h.shape == (4, 3) and h.degree == 3
+    for n in range(4):
+        assert (h.coeff(n) - M @ f.coeff(n)).norm() < 1e-14
+    with pytest.raises(ShapeError):
+        QI * f
 
 
 def test_pad_truncate_shift():
