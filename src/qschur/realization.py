@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_discrete_lyapunov
+from scipy.linalg import schur, solve_triangular
 
 from .errors import (
     BadSignatureError,
@@ -117,7 +117,11 @@ class Realization:
 def stein_solve(A, C, sigma, rtol=1e-10):
     """Hermitian solution of P - A* P A = C* sigma C.
 
-    Solved through the complex adjoint with a direct (Kronecker) method.
+    Solved on the complex adjoint from its complex Schur form
+    chi(A) = U R U* (Kitagawa 1977): Y = U* P U satisfies Y - R* Y R = U* Q U,
+    which fixes the columns of Y in turn, column j by one lower-triangular
+    solve with I - R_jj R*.  That is O(n^3) time and O(n^2) memory, and the
+    eigenvalues of chi(A) for the resonance test are the diagonal of R.
 
     Returns
     -------
@@ -134,18 +138,24 @@ def stein_solve(A, C, sigma, rtol=1e-10):
     A = as_qmatrix(A)
     C = as_qmatrix(C)
     sigma = as_qmatrix(sigma)
-    w = np.linalg.eigvals(A.complex_adjoint())
-    for i in range(len(w)):
-        for j in range(len(w)):
-            prod = w[i] * np.conj(w[j])
-            if abs(prod - 1.0) <= 1e-10 * (1.0 + abs(prod)):
-                raise SteinSingularError(
-                    "eigenvalue resonance lambda_i conj(lambda_j) = 1 "
-                    "(|lambda_i| = %g, |lambda_j| = %g)" % (abs(w[i]), abs(w[j])))
+    R, U = schur(A.complex_adjoint(), output="complex")
+    w = np.diag(R)
+    prod = np.outer(w, w.conj())
+    resonant = np.argwhere(np.abs(prod - 1.0) <= 1e-10 * (1.0 + np.abs(prod)))
+    if len(resonant):
+        i, j = resonant[0]
+        raise SteinSingularError(
+            "eigenvalue resonance lambda_i conj(lambda_j) = 1 "
+            "(|lambda_i| = %g, |lambda_j| = %g)" % (abs(w[i]), abs(w[j])))
     Q = C.adjoint() @ sigma @ C
-    chiP = solve_discrete_lyapunov(A.complex_adjoint().conj().T,
-                                   Q.complex_adjoint(), method="direct")
-    P = from_complex_adjoint(chiP)
+    F = U.conj().T @ Q.complex_adjoint() @ U
+    Rh = R.conj().T
+    eye = np.eye(len(R))
+    Y = np.zeros_like(F)
+    for j in range(len(R)):
+        rhs = F[:, j] + Rh @ (Y[:, :j] @ R[:j, j])
+        Y[:, j] = solve_triangular(eye - R[j, j] * Rh, rhs, lower=True)
+    P = from_complex_adjoint(U @ Y @ U.conj().T)
     P = (P + P.adjoint()) * 0.5
     res = (P - A.adjoint() @ P @ A - Q).norm()
     if res > 1e-6 * (1.0 + Q.norm()):

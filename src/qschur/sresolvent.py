@@ -12,8 +12,11 @@ is invertible, and the two resolvents are
 
 Projectors onto the spectral part enclosed by a circle with *real* center
 (so that whole spheres are either inside or outside) are computed with the
-periodic trapezoid rule, which converges exponentially for these analytic
-integrands.
+periodic trapezoid rule, exponentially convergent for these analytic
+integrands.  Nodes s_k = c + r exp(I th_k) and s_{N-k} are conjugate and share
+Q_k = Q_{s_k}(T); their two terms sum to 2 Q_k^{-1} (alpha_k I - beta_k T)
+with real alpha_k, beta_k, so the N-node rule is N/2 + 1 solves on chi(T),
+and the slice I drops out of it.
 """
 
 from __future__ import annotations
@@ -28,14 +31,14 @@ from .errors import (
     InvalidSpecError,
     OnSpectrumError,
     RankDeficiencyError,
-    ShapeError,
     SingularMatrixError,
 )
-from .quat import I_DEFAULT, Quaternion, UnitImaginary
+from .quat import I_DEFAULT, Quaternion
 from .qmatrix import (
     QMatrix,
     as_qmatrix,
     char_operator,
+    from_complex_adjoint,
     range_basis,
     right_eigen_spheres,
     solve,
@@ -43,26 +46,22 @@ from .qmatrix import (
 )
 
 
-def s_resolvent_left(s, T, rtol=1e-12):
-    """Left S-resolvent at s; raises OnSpectrumError if Q_s(T) is singular."""
+def _s_resolvent(solver, s, T, rtol):
     T = as_qmatrix(T)
-    Q = char_operator(T, s)
-    rhs = -(T - s.conj() * QMatrix.eye(T.rows))
     try:
-        return solve(Q, rhs, rtol)
+        return solver(char_operator(T, s), -(T - s.conj() * QMatrix.eye(T.rows)), rtol)
     except SingularMatrixError as exc:
         raise OnSpectrumError("s = %s lies on a spectral sphere of T" % (s,)) from exc
+
+
+def s_resolvent_left(s, T, rtol=1e-12):
+    """Left S-resolvent at s; raises OnSpectrumError if Q_s(T) is singular."""
+    return _s_resolvent(solve, s, T, rtol)
 
 
 def s_resolvent_right(s, T, rtol=1e-12):
     """Right S-resolvent at s."""
-    T = as_qmatrix(T)
-    Q = char_operator(T, s)
-    lhs = -(T - s.conj() * QMatrix.eye(T.rows))
-    try:
-        return solve_right(Q, lhs, rtol)
-    except SingularMatrixError as exc:
-        raise OnSpectrumError("s = %s lies on a spectral sphere of T" % (s,)) from exc
+    return _s_resolvent(solve_right, s, T, rtol)
 
 
 def resolvent_eq_residuals(s, T):
@@ -108,61 +107,59 @@ class ContourSpec:
             out.append((Quaternion(self.center) + e * self.radius, e))
         return out
 
+    def offset(self, sphere):
+        """Distance from the center to the sphere's slice points, minus the radius."""
+        return math.hypot(sphere.re - self.center, sphere.im_mag) - self.radius
+
     def encloses(self, sphere, band=0.0):
-        d = math.hypot(sphere.re - self.center, sphere.im_mag)
-        return d < self.radius - band
+        return self.offset(sphere) < -band
 
 
-def _check_contour_clear(T, spec, band_factor=1e-6):
-    band = band_factor * spec.radius
-    for sphere, _ in right_eigen_spheres(T):
-        d = math.hypot(sphere.re - spec.center, sphere.im_mag)
-        if abs(d - spec.radius) <= band:
+def _contour_sum(T, spec, power, spheres):
+    """(r/N) sum_k S_L^{-1}(s_k, T) e_k s_k^power, nodes paired as in the module
+    docstring (0 and N/2 are real); spheres (of T) must clear the contour."""
+    band = 1e-6 * spec.radius
+    for sphere, _ in spheres:
+        if abs(spec.offset(sphere)) <= band:
             raise ContourOnSpectrumError(
                 "contour passes within %g of the spectral sphere %s" % (band, sphere))
+    chi = T.complex_adjoint()
+    chi2, eye, acc = chi @ chi, np.eye(len(chi)), np.zeros_like(chi)
+    c, r, nodes = spec.center, spec.radius, spec.nodes
+    for k in range(nodes // 2 + 1):
+        th = 2.0 * math.pi * k / nodes
+        cos = math.cos(th)
+        mod2 = c * c + 2.0 * c * r * cos + r * r
+        if power == 0:
+            alpha, beta = c * cos + r, cos
+        else:
+            alpha, beta = mod2 * cos, c * cos + r * math.cos(2.0 * th)
+        weight = 1.0 if k in (0, nodes // 2) else 2.0
+        Q = chi2 - (2.0 * (c + r * cos)) * chi + mod2 * eye
+        acc += weight * np.linalg.solve(Q, alpha * eye - beta * chi)
+    return from_complex_adjoint(acc * (r / nodes))
 
 
-def riesz_projector(T, spec, unit=None, check=True):
-    """Projector onto the spectral part inside the contour.
+def riesz_projector(T, spec, unit=None):
+    """Projector P onto the spectral part of square T inside the contour spec.
 
-    Parameters
-    ----------
-    T : QMatrix, square
-    spec : ContourSpec
-    unit : UnitImaginary, optional
-        Slice plane in which the circle is traversed; the result does not
-        depend on it (checked in the test-suite), default is the i-plane.
-    check : bool
-        Verify first that no spectral sphere sits on the contour.
-
-    Returns
-    -------
-    QMatrix P with P^2 = P and PT = TP up to quadrature error.
+    P^2 = P and PT = TP up to quadrature error.  unit, the slice of the
+    nodes, has no effect: the pair-summed rule is the same in every slice.
+    Raises ContourOnSpectrumError if a spectral sphere sits on the contour.
     """
     T = as_qmatrix(T)
-    if not T.is_square():
-        raise ShapeError("riesz_projector needs a square matrix")
-    if check:
-        _check_contour_clear(T, spec)
-    acc = QMatrix.zeros(T.rows, T.rows)
-    for s, e in spec.points(unit):
-        acc = acc + s_resolvent_left(s, T) * e
-    return acc * (spec.radius / spec.nodes)
+    return _contour_sum(T, spec, 0, right_eigen_spheres(T))
 
 
-def riesz_s_part(T, spec, unit=None, check=True):
+def riesz_s_part(T, spec, unit=None):
     """Contour integral of the resolvent against f(s) = s.
 
     Equals T @ P for the projector P of the same contour, once the
-    quadrature has converged; a useful independent consistency check.
+    quadrature has converged; an independent consistency check.  unit has
+    no effect, as in riesz_projector.
     """
     T = as_qmatrix(T)
-    if check:
-        _check_contour_clear(T, spec)
-    acc = QMatrix.zeros(T.rows, T.rows)
-    for s, e in spec.points(unit):
-        acc = acc + s_resolvent_left(s, T) * (e * s)
-    return acc * (spec.radius / spec.nodes)
+    return _contour_sum(T, spec, 1, right_eigen_spheres(T))
 
 
 @dataclass
@@ -182,7 +179,8 @@ def spectral_split(T, spec, unit=None, rank_threshold=1e-7):
 
     The rank of the projector is decided on the singular values of its
     complex adjoint with the absolute threshold rank_threshold; quadrature
-    noise sits orders of magnitude below it for reasonable contours.
+    noise sits orders of magnitude below it for reasonable contours.  unit
+    has no effect, as in riesz_projector.
 
     Raises
     ------
@@ -190,7 +188,8 @@ def spectral_split(T, spec, unit=None, rank_threshold=1e-7):
         If a clean basis of ran(P) cannot be extracted at that rank.
     """
     T = as_qmatrix(T)
-    P = riesz_projector(T, spec, unit)
+    spheres = right_eigen_spheres(T)
+    P = _contour_sum(T, spec, 0, spheres)
     basis, rank = range_basis(P, rank_threshold)
     if basis.cols != rank:
         raise RankDeficiencyError(
@@ -198,6 +197,6 @@ def spectral_split(T, spec, unit=None, rank_threshold=1e-7):
             % (basis.cols, rank))
     restriction = basis.adjoint() @ T @ basis
     inside, outside = [], []
-    for sphere, mult in right_eigen_spheres(T):
+    for sphere, mult in spheres:
         (inside if spec.encloses(sphere) else outside).append((sphere, mult))
     return SpectralSplit(P, basis, rank, restriction, inside, outside)

@@ -25,6 +25,7 @@ from .sresolvent import (
     resolvent_eq_residuals,
     riesz_projector,
     riesz_s_part,
+    s_resolvent_left,
     spectral_split,
 )
 from .kernels import neg_squares
@@ -184,16 +185,28 @@ def suite_quadrature(cfg):
     return out
 
 
+def _riesz_by_resolvents(T, spec, unit):
+    """Slow reference for riesz_projector: the trapezoid sum node by node.
+
+    Sums S_L^{-1}(s_k, T) e_k over the quaternionic nodes of spec in the
+    slice of unit, so it depends on the slice wherever the projector would.
+    """
+    acc = QMatrix.zeros(T.rows, T.rows)
+    for s, e in spec.points(unit):
+        acc = acc + s_resolvent_left(s, T) * e
+    return acc * (spec.radius / spec.nodes)
+
+
 def suite_slices(cfg):
     gen = sampling.rng(cfg.seed + 5)
     T = _two_cluster_matrix(gen)
     spec = ContourSpec(0.0, 1.0, cfg.nodes)
-    ref = riesz_projector(T, spec, unit=None)
+    P = riesz_projector(T, spec)
     worst = 0.0
     units = [UnitImaginary(0, 1, 0), UnitImaginary(0, 0, 1),
              sampling.random_unit_imaginary(gen)]
     for u in units:
-        worst = max(worst, (riesz_projector(T, spec, unit=u) - ref).norm())
+        worst = max(worst, (_riesz_by_resolvents(T, spec, u) - P).norm())
     return [_res("slice-independence", worst, 1e-9 * cfg.tol_factor)]
 
 

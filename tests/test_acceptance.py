@@ -54,6 +54,7 @@ from qschur.sampling import (
     random_unit_imaginary,
     rng,
 )
+from qschur.verify import _riesz_by_resolvents
 
 
 def report(num, name, worst, tol, extra=""):
@@ -117,7 +118,7 @@ def test_criterion_2_riesz_projectors():
             worst_ident = max(worst_ident, (lhs - proj).norm())
         if case < 4:  # slice independence probed on a subset (it is slow)
             for _ in range(5):
-                Pu = riesz_projector(T, spec, unit=random_unit_imaginary(g))
+                Pu = _riesz_by_resolvents(T, spec, random_unit_imaginary(g))
                 worst_slice = max(worst_slice, (Pu - P).norm())
     report(2, "riesz-projector", worst_proj, 1e-8, "(P^2-P, TP-PT)")
     report(2, "projector-resolvent", worst_ident, 1e-7)

@@ -33,7 +33,8 @@ from qschur import (
     star_mul,
     stein_solve,
 )
-from qschur.sampling import ball_point, random_qmatrix, random_quaternion, rng
+from qschur.qmatrix import from_complex_adjoint, inverse
+from qschur.sampling import ball_point, matrix_with_spectrum, random_qmatrix, random_quaternion, rng
 
 
 def series_gap(f, g, degree):
@@ -68,6 +69,34 @@ def test_stein_resonance_raises():
     C = QMatrix.from_entries([[1.0, 1.0]])
     with pytest.raises(SteinSingularError):
         stein_solve(A, C, QMatrix.eye(1))
+
+
+def stein_by_kronecker(A, C, sigma):
+    """P - A* P A = C* sigma C as one linear system on vec(chi(P))."""
+    a = A.complex_adjoint()
+    q = (C.adjoint() @ sigma @ C).complex_adjoint()
+    m = len(a)
+    M = np.eye(m * m) - np.kron(a.T, a.conj().T)
+    x = np.linalg.solve(M, q.flatten(order="F"))
+    return from_complex_adjoint(x.reshape(m, m, order="F"))
+
+
+@pytest.mark.parametrize("near", [-0.99999, -1.00001, -0.999, 0.99999, 1.00001])
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_stein_against_kronecker_near_the_unit_circle(near, n):
+    """A non-normal A with one eigenvalue close to -1 or +1 (a nearly singular
+    Stein operator, |P| ~ 1e5) plus n - 1 inside the ball."""
+    g = rng(81 + n)
+    pts = [Quaternion(near)] + [ball_point(g, 0.9) for _ in range(n - 1)]
+    V = random_qmatrix(g, n) + 2.0 * QMatrix.eye(n)
+    A = V @ matrix_with_spectrum(g, pts) @ inverse(V)
+    C = random_qmatrix(g, 2, n)
+    sigma = signature_blocks(1, 1, 0)
+    P, _ = stein_solve(A, C, sigma)
+    want = stein_by_kronecker(A, C, sigma)
+    assert (P - want).norm() <= 1e-8 * (1.0 + want.norm())
+    Q = C.adjoint() @ sigma @ C
+    assert (P - A.adjoint() @ P @ A - Q).norm() <= 1e-8 * (1.0 + Q.norm())
 
 
 def test_completion_scalar_shift():

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qschur import (
     ContourOnSpectrumError,
@@ -30,6 +31,9 @@ from qschur import (
     spectral_split,
 )
 from qschur.sampling import matrix_with_spectrum, random_qmatrix, random_unit_imaginary, rng
+from qschur.verify import _riesz_by_resolvents
+
+PROPERTY = settings(derandomize=True, max_examples=25, deadline=None)
 
 
 def test_one_by_one_frozen_value():
@@ -112,13 +116,45 @@ def test_riesz_projector_properties():
 
 
 def test_riesz_projector_slice_independent():
+    """The pair-summed projector equals the node-by-node sum in any slice."""
     g = rng(53)
     T = two_cluster(g)
     spec = ContourSpec(0.0, 1.0, nodes=256)
     base = riesz_projector(T, spec)
     for _ in range(4):
         u = random_unit_imaginary(g)
-        assert (riesz_projector(T, spec, unit=u) - base).norm() < 1e-10
+        assert (_riesz_by_resolvents(T, spec, u) - base).norm() < 1e-10
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 6),
+       center=st.floats(-1.0, 1.0), radius=st.floats(0.5, 1.5), gap=st.floats(0.15, 0.4))
+def test_pair_summed_projector_against_references(seed, n, center, radius, gap):
+    """Spheres at least gap off the circle: against the node-by-node sum in a
+    random slice, the eigenvector projector of chi(T) and its own identities."""
+    gen = rng(seed)
+    n_in = int(gen.integers(0, n + 1))
+    pts = []
+    for i in range(n):
+        d = (gen.uniform(0.0, radius - gap) if i < n_in
+             else gen.uniform(radius + gap, radius + gap + 1.0))
+        phi = gen.uniform(0.0, math.pi)
+        u = random_unit_imaginary(gen).as_quaternion()
+        pts.append(Quaternion(center + d * math.cos(phi)) + u * (d * math.sin(phi)))
+    T = matrix_with_spectrum(gen, pts)
+    spec = ContourSpec(center, radius, nodes=256)
+    P = riesz_projector(T, spec)
+    scale = 1.0 + T.norm()
+    assert (P - _riesz_by_resolvents(T, spec, random_unit_imaginary(gen))).norm() <= 1e-12 * scale
+    chiT = T.complex_adjoint()
+    w, X = np.linalg.eig(chiT)
+    inside = np.abs(w - center) < radius
+    assert np.count_nonzero(inside) == 2 * n_in
+    want = X[:, inside] @ np.linalg.inv(X)[inside, :]
+    assert np.linalg.norm(P.complex_adjoint() - want) <= 1e-9
+    assert (P @ P - P).norm() <= 1e-9
+    assert (T @ P - P @ T).norm() <= 1e-9 * scale
+    assert (riesz_s_part(T, spec) - T @ P).norm() <= 1e-9 * scale
 
 
 def test_projector_resolvent_identity():
