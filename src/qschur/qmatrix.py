@@ -412,29 +412,42 @@ def gram_schmidt_columns(M, rtol=1e-10):
 
     Returns (Q, rank) where the columns of Q are orthonormal under the
     Hermitian inner product [u, v] = v* u and span the column space of M.
+    Each step takes the remaining column of largest norm, orthogonalizes it
+    once more against the accepted columns and drops it if its norm is then
+    at most rtol times the largest column norm of M.
+
+    The columns are worked on as psi(v) (module docstring).  The quaternionic
+    line of a unit q is the complex span of the orthonormal pair psi(q),
+    psi(q j), so projecting q out of the remaining columns C is one product
+    with q* C and one rank-one (complex rank-two) update.
     """
     M = as_qmatrix(M)
-    cols = [M.column(j) for j in range(M.cols)]
-    scale = max([c.norm() for c in cols], default=0.0)
-    chosen = []
-    while cols:
-        norms = [c.norm() for c in cols]
+    n = M.rows
+    X = np.concatenate([M._a, -np.conj(M._b)])
+    W = np.zeros((2 * n, 2 * M.cols), dtype=complex)  # psi(q), psi(q j) pairs
+    norms = np.linalg.norm(X, axis=0)
+    cut = rtol * (norms.max() if norms.size and norms.max() > 0 else 1.0)
+    rank = 0
+    while norms.size:
         k = int(np.argmax(norms))
-        if norms[k] <= rtol * (scale if scale > 0 else 1.0):
+        if norms[k] <= cut:
             break
-        v = cols.pop(k)
+        v = X[:, k].copy()
+        X[:, k] = 0.0
         # second orthogonalization pass against the accepted columns
-        for q in chosen:
-            v = v - q * (q.adjoint() @ v).item()
-        nv = v.norm()
-        if nv <= rtol * (scale if scale > 0 else 1.0):
-            continue
-        q = v * (1.0 / nv)
-        chosen.append(q)
-        cols = [c - q * (q.adjoint() @ c).item() for c in cols]
-    if not chosen:
-        return QMatrix.zeros(M.rows, 0), 0
-    return hstack(chosen), len(chosen)
+        done = W[:, :2 * rank]
+        v -= done @ (done.conj().T @ v)
+        nv = np.linalg.norm(v)
+        if nv > cut:
+            v /= nv
+            pair = W[:, 2 * rank:2 * rank + 2]
+            pair[:, 0] = v
+            pair[:n, 1] = np.conj(v[n:])
+            pair[n:, 1] = -np.conj(v[:n])
+            X -= pair @ (pair.conj().T @ X)
+            rank += 1
+        norms = np.linalg.norm(X, axis=0)
+    return _columns_from_complex(W[:, 0:2 * rank:2], n), rank
 
 
 def indefinite_gram_schmidt(M, J, neutral_tol=1e-10):
@@ -490,22 +503,19 @@ def null_basis(M, rtol=1e-10):
 def range_basis(M, threshold):
     """Orthonormal basis of ran(M); rank counts singular values > threshold.
 
-    The threshold is absolute, applied to the singular values of chi(M)
-    (which each appear twice); the quaternionic rank is half the count.
+    The threshold is absolute.  Each singular value of M appears twice among
+    those of chi(M), equal up to rounding; the rank counts the pairs whose
+    mean exceeds the threshold, so the two copies are kept or dropped
+    together.
     """
     M = as_qmatrix(M)
     u, sv, vh = np.linalg.svd(M.complex_adjoint())
-    big = int(np.sum(sv > threshold))
-    rank = big // 2
-    if 2 * rank != big:
-        rank = int(round(big / 2.0))
+    rank = int(np.sum((sv[0::2] + sv[1::2]) / 2 > threshold))
     if rank == 0:
         return QMatrix.zeros(M.rows, 0), 0
     cand = _columns_from_complex(u[:, :2 * rank], M.rows)
-    basis, got = gram_schmidt_columns(cand, rtol=1e-8)
-    if got > rank:
-        basis = hstack([basis.column(j) for j in range(rank)])
-    return basis, rank
+    basis, _ = gram_schmidt_columns(cand, rtol=1e-8)
+    return basis[:, :rank], rank
 
 
 # -- spectra -------------------------------------------------------------------------

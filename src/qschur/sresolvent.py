@@ -15,8 +15,13 @@ Projectors onto the spectral part enclosed by a circle with *real* center
 periodic trapezoid rule, exponentially convergent for these analytic
 integrands.  Nodes s_k = c + r exp(I th_k) and s_{N-k} are conjugate and share
 Q_k = Q_{s_k}(T); their two terms sum to 2 Q_k^{-1} (alpha_k I - beta_k T)
-with real alpha_k, beta_k, so the N-node rule is N/2 + 1 solves on chi(T),
-and the slice I drops out of it.
+with real alpha_k, beta_k, so the slice I drops out of the N-node rule.
+
+The rule runs on one complex Schur form chi(T) = U R U*.  Every Q_k(R) is
+upper triangular, so the sum is U (S_alpha - S_beta R) U* with
+S_alpha = sum_k w_k alpha_k Q_k(R)^{-1} and S_beta likewise: N/2 + 1
+triangular inversions.  The right spectrum of T is its point S-spectrum, the
+eigenvalues of chi(T), so the eigen-spheres are read off diag(R) too.
 """
 
 from __future__ import annotations
@@ -25,22 +30,25 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import schur
+from scipy.linalg.lapack import ztrtri
 
 from .errors import (
     ContourOnSpectrumError,
     InvalidSpecError,
     OnSpectrumError,
     RankDeficiencyError,
+    ShapeError,
     SingularMatrixError,
 )
 from .quat import I_DEFAULT, Quaternion
 from .qmatrix import (
     QMatrix,
+    _eigen_spheres,
     as_qmatrix,
     char_operator,
     from_complex_adjoint,
     range_basis,
-    right_eigen_spheres,
     solve,
     solve_right,
 )
@@ -115,16 +123,31 @@ class ContourSpec:
         return self.offset(sphere) < -band
 
 
-def _contour_sum(T, spec, power, spheres):
-    """(r/N) sum_k S_L^{-1}(s_k, T) e_k s_k^power, nodes paired as in the module
-    docstring (0 and N/2 are real); spheres (of T) must clear the contour."""
+def _schur(T):
+    """(R, U, spheres): the complex Schur form chi(T) = U R U* and the
+    eigen-spheres of T, with multiplicities, read off diag(R)."""
+    T = as_qmatrix(T)
+    if not T.is_square():
+        raise ShapeError("spectrum of a non-square matrix")
+    R, U = schur(T.complex_adjoint(), output="complex")
+    spheres = [(sphere, mult) for sphere, mult, _ in _eigen_spheres(np.diag(R), 1e-8)]
+    return R, U, spheres
+
+
+def _contour_sum(R, U, spheres, spec, power):
+    """(r/N) sum_k S_L^{-1}(s_k, T) e_k s_k^power on the Schur form of chi(T),
+    nodes paired as in the module docstring (0 and N/2 are real); the spheres
+    of T must clear the contour."""
     band = 1e-6 * spec.radius
     for sphere, _ in spheres:
         if abs(spec.offset(sphere)) <= band:
             raise ContourOnSpectrumError(
                 "contour passes within %g of the spectral sphere %s" % (band, sphere))
-    chi = T.complex_adjoint()
-    chi2, eye, acc = chi @ chi, np.eye(len(chi)), np.zeros_like(chi)
+    if R.size == 0:  # LAPACK rejects an empty triangular inversion
+        return QMatrix.zeros(0)
+    # Fortran order, so that Q_k(R) reaches LAPACK without a copy
+    R2, diag = np.asfortranarray(R @ R), np.diag_indices(len(R))
+    s_alpha, s_beta = np.zeros_like(R), np.zeros_like(R)
     c, r, nodes = spec.center, spec.radius, spec.nodes
     for k in range(nodes // 2 + 1):
         th = 2.0 * math.pi * k / nodes
@@ -135,20 +158,29 @@ def _contour_sum(T, spec, power, spheres):
         else:
             alpha, beta = mod2 * cos, c * cos + r * math.cos(2.0 * th)
         weight = 1.0 if k in (0, nodes // 2) else 2.0
-        Q = chi2 - (2.0 * (c + r * cos)) * chi + mod2 * eye
-        acc += weight * np.linalg.solve(Q, alpha * eye - beta * chi)
+        Q = R2 - (2.0 * (c + r * cos)) * R  # Q_k(R), upper triangular
+        Q[diag] += mod2
+        Q_inv, info = ztrtri(Q, overwrite_c=1)
+        if info > 0:
+            raise ContourOnSpectrumError(
+                "contour node %d lies on the spectrum (Q_k(R) singular)" % k)
+        s_alpha += (weight * alpha) * Q_inv
+        s_beta += (weight * beta) * Q_inv
+    acc = U @ (s_alpha - s_beta @ R) @ U.conj().T
     return from_complex_adjoint(acc * (r / nodes))
 
 
 def riesz_projector(T, spec, unit=None):
     """Projector P onto the spectral part of square T inside the contour spec.
 
-    P^2 = P and PT = TP up to quadrature error.  unit, the slice of the
+    P^2 = P and PT = TP up to quadrature error.  One complex Schur form of
+    chi(T) gives both the eigen-spheres (from its diagonal) and the N/2 + 1
+    triangular inversions of the pair-summed rule.  unit, the slice of the
     nodes, has no effect: the pair-summed rule is the same in every slice.
-    Raises ContourOnSpectrumError if a spectral sphere sits on the contour.
+    Raises ShapeError for non-square T and ContourOnSpectrumError if a
+    spectral sphere sits on the contour.
     """
-    T = as_qmatrix(T)
-    return _contour_sum(T, spec, 0, right_eigen_spheres(T))
+    return _contour_sum(*_schur(T), spec, 0)
 
 
 def riesz_s_part(T, spec, unit=None):
@@ -158,8 +190,7 @@ def riesz_s_part(T, spec, unit=None):
     quadrature has converged; an independent consistency check.  unit has
     no effect, as in riesz_projector.
     """
-    T = as_qmatrix(T)
-    return _contour_sum(T, spec, 1, right_eigen_spheres(T))
+    return _contour_sum(*_schur(T), spec, 1)
 
 
 @dataclass
@@ -188,8 +219,8 @@ def spectral_split(T, spec, unit=None, rank_threshold=1e-7):
         If a clean basis of ran(P) cannot be extracted at that rank.
     """
     T = as_qmatrix(T)
-    spheres = right_eigen_spheres(T)
-    P = _contour_sum(T, spec, 0, spheres)
+    R, U, spheres = _schur(T)
+    P = _contour_sum(R, U, spheres, spec, 0)
     basis, rank = range_basis(P, rank_threshold)
     if basis.cols != rank:
         raise RankDeficiencyError(

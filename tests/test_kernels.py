@@ -2,7 +2,8 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from conftest import PROPERTY
+from hypothesis import given, strategies as st
 
 from qschur import (
     NotHermitianError,
@@ -28,9 +29,6 @@ from qschur.sampling import (
     random_scalar_series,
     rng,
 )
-
-# bounded, seed-free property runs: each test sees the same examples every time
-PROPERTY = settings(derandomize=True, max_examples=25, deadline=None)
 
 
 def brute_coeff(S, n, m):

@@ -7,6 +7,8 @@ certify products, solves, eigenstructure and signatures independently.
 
 import numpy as np
 import pytest
+from conftest import PROPERTY
+from hypothesis import given, strategies as st
 
 from qschur import (
     QMatrix,
@@ -329,6 +331,60 @@ def test_gram_schmidt_columns():
     assert r2 == 3
 
 
+def gram_schmidt_loop(M, rtol=1e-10):
+    """Reference: the pivoted modified Gram-Schmidt written one QMatrix column
+    at a time, as the library computed it before it moved to column arrays."""
+    cols = [M.column(j) for j in range(M.cols)]
+    scale = max([c.norm() for c in cols], default=0.0)
+    chosen = []
+    while cols:
+        norms = [c.norm() for c in cols]
+        k = int(np.argmax(norms))
+        if norms[k] <= rtol * (scale if scale > 0 else 1.0):
+            break
+        v = cols.pop(k)
+        for q in chosen:
+            v = v - q * (q.adjoint() @ v).item()
+        nv = v.norm()
+        if nv <= rtol * (scale if scale > 0 else 1.0):
+            continue
+        q = v * (1.0 / nv)
+        chosen.append(q)
+        cols = [c - q * (q.adjoint() @ c).item() for c in cols]
+    if not chosen:
+        return QMatrix.zeros(M.rows, 0), 0
+    return hstack(chosen), len(chosen)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 7), cols=st.integers(1, 7),
+       kind=st.sampled_from(["random", "duplicated", "nearly-duplicated", "right-multiplied",
+                             "zero", "rank-deficient"]),
+       rtol=st.sampled_from([1e-10, 1e-8]))
+def test_gram_schmidt_against_the_column_loop(seed, rows, cols, kind, rtol):
+    """Same rank and span as the column-by-column reference, orthonormal
+    columns; bases may differ by a right unitary when pivot norms tie."""
+    gen = rng(seed)
+    M = random_qmatrix(gen, rows, cols)
+    j = int(gen.integers(cols))
+    if kind == "duplicated":
+        M = hstack([M, M.column(j)])
+    elif kind == "nearly-duplicated":  # needs the second orthogonalization pass
+        M = hstack([M, M.column(j) + random_qmatrix(gen, rows, 1, scale=1e-7)])
+    elif kind == "right-multiplied":
+        M = hstack([M[0:rows, 0:j], M.column(j) * random_quaternion(gen), M[0:rows, j:cols]])
+    elif kind == "zero":
+        M = hstack([M[0:rows, 0:j], QMatrix.zeros(rows, 1), M[0:rows, j + 1:cols]])
+    elif kind == "rank-deficient":
+        k = int(gen.integers(0, min(rows, cols) + 1))
+        M = random_qmatrix(gen, rows, k) @ random_qmatrix(gen, k, cols)
+    Q, r = gram_schmidt_columns(M, rtol)
+    Q_ref, r_ref = gram_schmidt_loop(M, rtol)
+    assert r == r_ref == Q.cols
+    assert (Q.adjoint() @ Q - QMatrix.eye(r)).norm() <= 1e-12
+    assert (Q @ Q.adjoint() - Q_ref @ Q_ref.adjoint()).norm() <= 1e-10
+
+
 def test_null_and_range_basis():
     g = rng(32)
     B = random_qmatrix(g, 4, 2)
@@ -341,6 +397,28 @@ def test_null_and_range_basis():
     assert (nb.adjoint() @ nb - QMatrix.eye(2)).norm() < 1e-10
     # null and range directions are mutually orthogonal here
     assert (rb.adjoint() @ nb).norm() < 1e-10
+
+
+def test_range_basis_threshold_between_the_two_copies_of_a_singular_value():
+    """chi(M) carries each singular value twice, equal up to rounding; a
+    threshold at the midpoint of the two copies drops that value for every
+    one of the four, with 3 and with 5 copies above the threshold alike."""
+    odd_counts = set()
+    for seed in range(5):
+        g = rng(seed)
+        U, V = random_unitary(g, 4), random_unitary(g, 4)
+        M = U @ QMatrix.diag([1.0, 0.5, 0.25, 0.125]) @ V.adjoint()
+        sv = np.linalg.svd(M.complex_adjoint())[1]  # the call range_basis makes
+        for j in range(4):
+            if sv[2 * j] == sv[2 * j + 1]:
+                continue
+            threshold = (sv[2 * j] + sv[2 * j + 1]) / 2
+            odd_counts.add(int(np.sum(sv > threshold)))
+            basis, rank = range_basis(M, threshold)
+            assert rank == j and basis.cols == j
+            assert (basis.adjoint() @ basis - QMatrix.eye(j)).norm() < 1e-12
+            assert (basis @ basis.adjoint() @ U[0:4, 0:j] - U[0:4, 0:j]).norm() < 1e-10
+    assert {3, 5} <= odd_counts
 
 
 def test_indefinite_gram_schmidt():

@@ -2,7 +2,8 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from conftest import PROPERTY
+from hypothesis import given, strategies as st
 
 from qschur import (
     NotInvertibleAtZeroError,
@@ -24,9 +25,6 @@ from qschur import (
     star_solve_left,
 )
 from qschur.sampling import random_qmatrix, random_quaternion, random_scalar_series, rng
-
-# bounded, seed-free property runs: each test sees the same examples every time
-PROPERTY = settings(derandomize=True, max_examples=25, deadline=None)
 
 
 def conv_brute(f, g):
