@@ -25,7 +25,7 @@ import json
 import math
 import sys
 
-from .errors import QschurError
+from .errors import QschurError, ShapeError
 from .quat import Quaternion, Sphere, UnitImaginary
 from .qmatrix import QMatrix, right_eigen_spheres
 from .series import SliceSeries
@@ -269,7 +269,10 @@ def cmd_realize(args):
             sigma = QMatrix.from_dict(d["sigma"]) if "sigma" in d else QMatrix.eye(C.rows)
         except (KeyError, TypeError, ValueError) as exc:
             raise CLIParseError("need A and C blocks: %s" % exc) from exc
-        R = j_unitary_complete(A, C, sigma)
+        try:
+            R = j_unitary_complete(A, C, sigma)
+        except ShapeError as exc:
+            raise CLIParseError("bad pair payload: %s" % exc) from exc
     stein = R.stein_residual()
     juni = R.junitary_residual()
     S = realization_series(R, min(args.degree, 8))

@@ -42,12 +42,17 @@ class KernelCoeffs:
         r = self.series.rows
         return self.block_matrix(max(n, m))[n * r:(n + 1) * r, m * r:(m + 1) * r]
 
-    def block_matrix(self, mu):
-        """The Hermitian section A_mu = [a_{n,m}]_{n,m=0..mu}."""
+    def _terms(self, mu):
+        """The two terms I (x) sigma2 and L (I (x) sigma1) L* of A_mu."""
         S = self.series
         # L(S sigma1) = L(S) (I (x) sigma1), and L of a constant is I (x) it
         diag = lower_toeplitz(SliceSeries.constant(self.sigma2, 0), mu)
-        return diag - lower_toeplitz(S * self.sigma1, mu) @ lower_toeplitz(S, mu).adjoint()
+        return diag, lower_toeplitz(S * self.sigma1, mu) @ lower_toeplitz(S, mu).adjoint()
+
+    def block_matrix(self, mu):
+        """The Hermitian section A_mu = [a_{n,m}]_{n,m=0..mu}."""
+        diag, prod = self._terms(mu)
+        return diag - prod
 
     def hermitian_defect(self, mu):
         return self.block_matrix(mu).herm_defect()
@@ -85,6 +90,12 @@ class NegSquares:
         return [(mu, c) for mu, c in enumerate(self.counts)]
 
 
+def _leading_norms(M, ends):
+    """Frobenius norms of the leading blocks M[:k, :k], k in ends."""
+    sq = np.cumsum(np.cumsum((M.to_components() ** 2).sum(axis=-1), axis=0), axis=1)
+    return np.sqrt(sq[ends - 1, ends - 1])
+
+
 def neg_squares(S, sigma1=None, sigma2=None, mu_max=12, tol=None, window=3):
     """Count negative squares by sweeping kernel sections.
 
@@ -94,7 +105,11 @@ def neg_squares(S, sigma1=None, sigma2=None, mu_max=12, tol=None, window=3):
     sigma1, sigma2 : QMatrix signatures (identity when omitted)
     mu_max : last section index to inspect
     tol : float, optional
-        Eigenvalue zero-threshold; default 1e-8 * max|eigenvalue| per block.
+        Eigenvalue zero-threshold.  The default, per section A_mu of
+        complex dimension N, is 1e-8 * max|eigenvalue|, but at least the
+        rounding level N * eps * (||I (x) sigma2|| + ||L (I (x) sigma1) L*||)
+        (Frobenius norms of the section's two terms), so that a section
+        that cancels to rounding noise counts no negative squares.
     window : int
         The count is declared stabilized when the last `window` sections
         agree and equal the maximum.
@@ -103,16 +118,18 @@ def neg_squares(S, sigma1=None, sigma2=None, mu_max=12, tol=None, window=3):
     """
     if mu_max + 1 > S.degree + 1:
         mu_max = S.degree
-    A = KernelCoeffs(S, sigma1, sigma2).block_matrix(max(mu_max, 0))
+    diag, prod = KernelCoeffs(S, sigma1, sigma2)._terms(max(mu_max, 0))
+    A = diag - prod
     if A.herm_defect() > 1e-10 * (1.0 + A.norm()):
         raise NotHermitianError("kernel section is not Hermitian (defect %g)" % A.herm_defect())
-    r = S.rows
+    ends = (np.arange(mu_max + 1) + 1) * S.rows
+    noise = 2 * ends * np.finfo(float).eps * (_leading_norms(diag, ends) + _leading_norms(prod, ends))
     counts, tols = [], []
-    for mu in range(mu_max + 1):
+    for mu, k in enumerate(ends):
         # chi eigenvalues come in duplicate pairs, one per quaternionic eigenvalue
-        w = np.linalg.eigvalsh(A[:(mu + 1) * r, :(mu + 1) * r].complex_adjoint())
+        w = np.linalg.eigvalsh(A[:k, :k].complex_adjoint())
         lam = w.reshape(-1, 2).mean(axis=1)
-        t = tol if tol is not None else 1e-8 * float(np.max(np.abs(lam)))
+        t = tol if tol is not None else max(1e-8 * float(np.max(np.abs(lam))), float(noise[mu]))
         counts.append(int(np.sum(lam < -t)))
         tols.append(t)
     kappa = max(counts) if counts else 0

@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import schur, solve_triangular
 
 from .errors import (
     CompletionFailureError,
@@ -558,7 +559,72 @@ def _conjugate_pairs(w, tol):
     return first, second
 
 
-def _eigen_spheres(w, cluster_tol):
+def _eigenvalue_conds(R, idx):
+    """Condition numbers of the eigenvalues R[i, i], i in idx, of an upper
+    triangular R.
+
+    The right and left eigenvectors x, y of R[i, i] vanish below and above
+    entry i respectively; with x_i = y_i = 1 they satisfy y* x = 1, so the
+    condition number is ||x|| ||y||.  They come from two triangular solves
+    with R - R[i, i] I, whose zero diagonal entries are replaced by
+    eps * max|R| (as LAPACK's trevc does), so an exactly defective
+    eigenvalue gets a huge but finite condition number.
+    """
+    d = np.diag(R)
+    floor = np.finfo(float).eps * max(float(np.abs(R).max(initial=0.0)), np.finfo(float).tiny)
+    eye = np.eye(len(R))
+    out = np.empty(len(idx))
+    for k, i in enumerate(idx):
+        M = R - d[i] * eye
+        small = np.abs(np.diag(M)) < floor
+        M[small, small] = floor
+        x = solve_triangular(M[:i, :i], -R[:i, i])
+        y = solve_triangular(M[i + 1:, i + 1:], -R[i, i + 1:], trans="T")
+        out[k] = math.sqrt((1.0 + np.vdot(x, x).real) * (1.0 + np.vdot(y, y).real))
+    return out
+
+
+def _merge_unresolved(groups, key, first, second, R, tol, cluster_tol):
+    """Merge groups of pairs whose eigenvalues one backward error of at most
+    tol could make equal.
+
+    Rounding splits an eigenvalue of a Jordan chain of length k by about
+    (backward error)^(1/k), far past tol, while the mean of the split
+    eigenvalues stays accurate.  Groups whose mean keys lie within
+    cluster_tol^(1/3) * (1 + modulus) of each other (a chain of length 3 at
+    backward error cluster_tol) are candidates; the closest candidates are
+    merged first, and a merge stands when the span of the merged keys (the
+    wider of the two coordinates) divided by the largest eigenvalue condition
+    number among its members is at most the smallest tol among them.  With
+    every condition number 1 no merge stands, since each group was cut where
+    the span first passed tol.
+    """
+    sizes = np.array([len(g) for g in groups])
+    means = np.add.reduceat(key[np.concatenate(groups)], np.cumsum(sizes) - sizes) / sizes[:, None]
+    reach = cluster_tol ** (1.0 / 3.0) * (1.0 + np.hypot(means[:, 0], means[:, 1]))
+    dist = np.abs(means[:, None, :] - means[None, :, :]).max(axis=2)
+    cand = np.argwhere(np.triu(dist <= np.minimum.outer(reach, reach), 1))
+    if not len(cand):
+        return groups
+    need = np.unique(np.concatenate(
+        [np.concatenate([first[groups[g]], second[groups[g]]]) for g in np.unique(cand)]))
+    cond = np.ones(2 * len(key))
+    cond[need] = _eigenvalue_conds(R, need)
+    label = np.arange(len(groups))
+    for i, j in sorted(cand.tolist(), key=lambda ij: dist[ij[0], ij[1]]):
+        a, b = label[i], label[j]
+        if a == b:
+            continue
+        grp = np.concatenate([groups[g] for g in np.flatnonzero((label == a) | (label == b))])
+        span = float(np.ptp(key[grp], axis=0).max())
+        worst = cond[np.concatenate([first[grp], second[grp]])].max()
+        if span / worst <= tol[first[grp]].min():
+            label[label == b] = a
+    return [np.concatenate([groups[g] for g in np.flatnonzero(label == a)])
+            for a in np.unique(label)]
+
+
+def _eigen_spheres(w, cluster_tol, R=None):
     """Group the 2n eigenvalues w of chi(T) into eigenvalue spheres.
 
     The eigenvalues are first split into conjugate pairs (real ones into
@@ -567,7 +633,9 @@ def _eigen_spheres(w, cluster_tol):
     sorted passes, on Re and then on |Im| within each Re-run.  A cluster
     whose first pair has modulus m spans at most cluster_tol * (1 + m) in
     either coordinate, so a chain of close neighbours is not merged into one
-    wide cluster.
+    wide cluster.  When w is the diagonal of an upper triangular R,
+    clusters that only rounding of a defective eigenvalue keeps apart are
+    merged (_merge_unresolved).
 
     Returns a list of (Sphere, multiplicity, indices into w), sorted by (re, im).
     """
@@ -576,30 +644,52 @@ def _eigen_spheres(w, cluster_tol):
     key = np.column_stack([(w.real[first] + w.real[second]) / 2,
                            (np.abs(w.imag[first]) + np.abs(w.imag[second])) / 2])
     pairs = np.arange(len(first))
+    groups = [grp for run in _runs(pairs, key[:, 0], tol[first])
+              for grp in _runs(run, key[:, 1], tol[first])]
+    if R is not None and len(groups) > 1:
+        groups = _merge_unresolved(groups, key, first, second, R, tol, cluster_tol)
     out = []
-    for run in _runs(pairs, key[:, 0], tol[first]):
-        for grp in _runs(run, key[:, 1], tol[first]):
-            re, im = key[grp].mean(axis=0)
-            idx = np.concatenate([first[grp], second[grp]])
-            out.append((Sphere(float(re), float(im)), len(grp), idx))
+    for grp in groups:
+        re, im = key[grp].mean(axis=0)
+        idx = np.concatenate([first[grp], second[grp]])
+        out.append((Sphere(float(re), float(im)), len(grp), idx))
     out.sort(key=lambda t: (t[0].re, t[0].im_mag))
     return out
+
+
+def _schur_spheres(T, cluster_tol=1e-8, sort=None):
+    """(R, U, spheres): the complex Schur form chi(T) = U R U* and the
+    eigen-spheres of T with multiplicities, read off diag(R).
+
+    The right spectrum of T is its point S-spectrum, the eigenvalues of
+    chi(T), so this one factorization serves every spectral decision.
+    sort="ouc" puts the eigenvalues outside the unit circle first, so that
+    the leading Schur vectors span their invariant subspace.  Raises
+    ShapeError for non-square T and NonFiniteInputError for NaN or inf.
+    """
+    T = as_qmatrix(T)
+    if not T.is_square():
+        raise ShapeError("spectrum of a non-square matrix")
+    chi = T.complex_adjoint()
+    if not np.all(np.isfinite(chi)):
+        raise NonFiniteInputError("matrix entries must be finite numbers")
+    R, U = schur(chi, output="complex", sort=sort)[:2]
+    spheres = [(sphere, mult) for sphere, mult, _ in _eigen_spheres(np.diag(R), cluster_tol, R)]
+    return R, U, spheres
 
 
 def right_eigen_spheres(T, cluster_tol=1e-8):
     """Eigenvalue spheres of the right spectrum with multiplicities.
 
-    Eigenvalues of chi(T) come in conjugate pairs (real ones in equal
-    pairs); clustering one point (Re, |Im|) per pair yields one entry per
-    sphere, and no cluster spans more than cluster_tol * (1 + modulus).
+    Eigenvalues of chi(T), read off its complex Schur form, come in
+    conjugate pairs (real ones in equal pairs); clustering one point
+    (Re, |Im|) per pair yields one entry per sphere, and no cluster spans
+    more than cluster_tol * (1 + modulus) unless its eigenvalues are too
+    ill-conditioned to tell apart (a defective sphere).
 
     Returns a list of (Sphere, multiplicity), sorted by (re, im).
     """
-    T = as_qmatrix(T)
-    if not T.is_square():
-        raise ShapeError("spectrum of a non-square matrix")
-    w = np.linalg.eigvals(T.complex_adjoint())
-    return [(sphere, mult) for sphere, mult, _ in _eigen_spheres(w, cluster_tol)]
+    return _schur_spheres(T, cluster_tol)[2]
 
 
 def right_eigen_decomposition(T, cluster_tol=1e-8, cond_tol=1e-8):

@@ -23,29 +23,32 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import schur, solve_triangular
+from scipy.linalg import solve_triangular
 
 from .errors import (
     BadSignatureError,
     NotHermitianError,
     NotObservableError,
+    RankDeficiencyError,
     ShapeError,
     SpectrumOnUnitSphereError,
     SteinSingularError,
 )
-from .quat import Quaternion, Sphere, sphere_of
+from .quat import Quaternion, sphere_of
 from .qmatrix import (
     QMatrix,
+    _columns_from_complex,
+    _schur_spheres,
     as_qmatrix,
     block,
     from_complex_adjoint,
+    gram_schmidt_columns,
     herm_eig,
     hstack,
     indefinite_gram_schmidt,
     inverse,
     is_invertible,
     null_basis,
-    right_eigen_decomposition,
     solve,
     vstack,
 )
@@ -130,6 +133,11 @@ def stein_solve(A, C, sigma, rtol=1e-10):
 
     Raises
     ------
+    ShapeError
+        If A is not square, C does not have A's column count or sigma is
+        not square with C's row count.
+    NonFiniteInputError
+        If A holds a NaN or infinite entry.
     SteinSingularError
         If some pair of right eigenvalues of A has lambda_i conj(lambda_j)
         on the unit circle (the Stein operator is then singular), or if the
@@ -138,7 +146,10 @@ def stein_solve(A, C, sigma, rtol=1e-10):
     A = as_qmatrix(A)
     C = as_qmatrix(C)
     sigma = as_qmatrix(sigma)
-    R, U = schur(A.complex_adjoint(), output="complex")
+    R, U, _ = _schur_spheres(A)
+    if C.cols != A.rows or sigma.shape != (C.rows, C.rows):
+        raise ShapeError("Stein data: A %s, C %s and sigma %s do not fit together"
+                         % (A.shape, C.shape, sigma.shape))
     w = np.diag(R)
     prod = np.outer(w, w.conj())
     resonant = np.argwhere(np.abs(prod - 1.0) <= 1e-10 * (1.0 + np.abs(prod)))
@@ -368,52 +379,56 @@ class KLFactorization:
 def krein_langer_factor(R, degree=48, unit_band=1e-8):
     """Split a realized function into a reciprocal product and a plain part.
 
-    The state matrix is diagonalized over the quaternions; eigenvalue
-    spheres of modulus > 1 generate the negative squares.  Their restriction
-    (A_out, C V_out) is completed to a J-unitary system whose transfer
-    series W is the reciprocal product; S0 = W^{-*} * S has none left.
+    The eigenvalue spheres of the state matrix outside the unit sphere
+    generate the negative squares, whatever their Jordan structure.  A
+    complex Schur form of chi(A) sorted with those eigenvalues first gives
+    their invariant subspace in its leading 2 kappa columns; conjugate
+    eigenvalues share a modulus, so that span is psi of a quaternionic
+    subspace with orthonormal basis V.  The restriction (V* A V, C V) is
+    completed to a J-unitary system whose transfer series W is the
+    reciprocal product, B = W^{-*} is its star inverse and S0 = B * S has
+    no negative squares left.  The zero spheres are the inverses of the
+    outside spheres, with their algebraic multiplicities.
 
     Raises
     ------
     SpectrumOnUnitSphereError  if an eigenvalue sphere sits within
-                               unit_band of the unit sphere
-    NotDiagonalizableError     propagated from the eigendecomposition
+                               unit_band of the unit sphere, or the
+                               eigenvalues of one sphere straddle it
+    RankDeficiencyError        if the outside Schur vectors do not give
+                               kappa quaternionic directions
     BadSignatureError          if the outside Stein solution is not
                                negative definite
     """
     sigma = R.sigma if R.sigma is not None else QMatrix.eye(R.C.rows)
-    parts, _ = right_eigen_decomposition(R.A)
-    outside_parts = []
-    for sphere, rep, basis in parts:
+    T, U, spheres = _schur_spheres(R.A, sort="ouc")
+    for sphere, _ in spheres:
         if abs(sphere.modulus() - 1.0) <= unit_band:
             raise SpectrumOnUnitSphereError(
                 "state spectrum sphere %s within %g of the unit sphere"
                 % (sphere, unit_band))
-        if sphere.modulus() > 1.0:
-            outside_parts.append((sphere, rep, basis))
+    outside = [(sphere, mult) for sphere, mult in spheres if sphere.modulus() > 1.0]
     S = realization_series(R, degree)
-    if not outside_parts:
+    if not outside:
         one = SliceSeries.one(degree, R.D.rows)
         return KLFactorization(0, one, one, S, [], None, unit_band)
-    reps = []
-    spheres = []
-    cols = []
-    for sphere, rep, basis in outside_parts:
-        reps.extend([rep] * basis.cols)
-        spheres.append((sphere_of(rep.inverse()), basis.cols))
-        cols.append(basis)
-    V_out = hstack(cols)
-    A_res = QMatrix.diag(reps)
-    C_res = R.C @ V_out
-    out = j_unitary_complete(A_res, C_res, sigma)
+    dim = sum(mult for _, mult in outside)
+    if np.sum(np.abs(np.diag(T)) > 1.0) != 2 * dim:
+        raise SpectrumOnUnitSphereError(
+            "the eigenvalues of an outside sphere straddle the unit sphere")
+    V, rank = gram_schmidt_columns(_columns_from_complex(U[:, :2 * dim], R.A.rows))
+    if rank != dim:
+        raise RankDeficiencyError(
+            "outside Schur vectors give %d quaternionic directions, expected %d"
+            % (rank, dim))
+    out = j_unitary_complete(V.adjoint() @ R.A @ V, R.C @ V, sigma)
     spec_P, _ = herm_eig(out.P)
     t, s, z = spec_P.signature
     if t or z:
         raise BadSignatureError(
             "outside Stein solution has signature (%d, %d, %d); "
             "expected negative definite" % (t, s, z))
-    k = s
     W = realization_series(out, degree)
-    S0 = star_solve_left(W, S)
     Bser = star_inverse(W)
-    return KLFactorization(k, W, Bser, S0, spheres, out, unit_band)
+    zeros = [(sphere_of(sphere.representative().inverse()), mult) for sphere, mult in outside]
+    return KLFactorization(s, W, Bser, star_mul(Bser, S), zeros, out, unit_band)

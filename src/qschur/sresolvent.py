@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import schur
 from scipy.linalg.lapack import ztrtri
 
 from .errors import (
@@ -38,13 +37,12 @@ from .errors import (
     InvalidSpecError,
     OnSpectrumError,
     RankDeficiencyError,
-    ShapeError,
     SingularMatrixError,
 )
 from .quat import I_DEFAULT, Quaternion
 from .qmatrix import (
     QMatrix,
-    _eigen_spheres,
+    _schur_spheres,
     as_qmatrix,
     char_operator,
     from_complex_adjoint,
@@ -123,17 +121,6 @@ class ContourSpec:
         return self.offset(sphere) < -band
 
 
-def _schur(T):
-    """(R, U, spheres): the complex Schur form chi(T) = U R U* and the
-    eigen-spheres of T, with multiplicities, read off diag(R)."""
-    T = as_qmatrix(T)
-    if not T.is_square():
-        raise ShapeError("spectrum of a non-square matrix")
-    R, U = schur(T.complex_adjoint(), output="complex")
-    spheres = [(sphere, mult) for sphere, mult, _ in _eigen_spheres(np.diag(R), 1e-8)]
-    return R, U, spheres
-
-
 def _contour_sum(R, U, spheres, spec, power):
     """(r/N) sum_k S_L^{-1}(s_k, T) e_k s_k^power on the Schur form of chi(T),
     nodes paired as in the module docstring (0 and N/2 are real); the spheres
@@ -177,10 +164,11 @@ def riesz_projector(T, spec, unit=None):
     chi(T) gives both the eigen-spheres (from its diagonal) and the N/2 + 1
     triangular inversions of the pair-summed rule.  unit, the slice of the
     nodes, has no effect: the pair-summed rule is the same in every slice.
-    Raises ShapeError for non-square T and ContourOnSpectrumError if a
-    spectral sphere sits on the contour.
+    Raises ShapeError for non-square T, NonFiniteInputError for NaN or inf
+    entries and ContourOnSpectrumError if a spectral sphere sits on the
+    contour.
     """
-    return _contour_sum(*_schur(T), spec, 0)
+    return _contour_sum(*_schur_spheres(T), spec, 0)
 
 
 def riesz_s_part(T, spec, unit=None):
@@ -190,7 +178,7 @@ def riesz_s_part(T, spec, unit=None):
     quadrature has converged; an independent consistency check.  unit has
     no effect, as in riesz_projector.
     """
-    return _contour_sum(*_schur(T), spec, 1)
+    return _contour_sum(*_schur_spheres(T), spec, 1)
 
 
 @dataclass
@@ -219,7 +207,7 @@ def spectral_split(T, spec, unit=None, rank_threshold=1e-7):
         If a clean basis of ran(P) cannot be extracted at that rank.
     """
     T = as_qmatrix(T)
-    R, U, spheres = _schur(T)
+    R, U, spheres = _schur_spheres(T)
     P = _contour_sum(R, U, spheres, spec, 0)
     basis, rank = range_basis(P, rank_threshold)
     if basis.cols != rank:

@@ -189,6 +189,24 @@ def test_realize_from_pair_file(tmp_path, capsys):
     assert max(abs(v) for v in head[0]["entries"][0]) < 1e-12
 
 
+def _pair_file(tmp_path, A, C):
+    f = tmp_path / "pair.json"
+    f.write_text(json.dumps({"A": A.to_dict(), "C": C.to_dict()}))
+    return str(f)
+
+
+def test_realize_non_square_state_matrix_exits_2(tmp_path, capsys):
+    f = _pair_file(tmp_path, QMatrix.zeros(2, 3), QMatrix.eye(3)[0:1, 0:3])
+    rc, _, err = run(capsys, ["realize", "--input", f])
+    assert rc == 2 and "non-square" in err
+
+
+def test_realize_output_matrix_of_wrong_width_exits_2(tmp_path, capsys):
+    f = _pair_file(tmp_path, QMatrix.eye(2) * 0.5, QMatrix.eye(3)[0:1, 0:3])
+    rc, _, err = run(capsys, ["realize", "--input", f])
+    assert rc == 2 and "do not fit" in err
+
+
 def test_kl_factor_demo_reciprocal(capsys):
     rc, out, _ = run(capsys, ["kl-factor", "--demo", "reciprocal",
                               "--format", "json"])

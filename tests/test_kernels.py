@@ -27,6 +27,7 @@ from qschur.sampling import (
     random_hermitian,
     random_qmatrix,
     random_scalar_series,
+    random_unitary,
     rng,
 )
 
@@ -184,6 +185,36 @@ def test_unimodular_constant_boundary_case():
     c = Quaternion(0.6, 0.8)
     res = neg_squares(SliceSeries.constant(c, 8), mu_max=6)
     assert res.kappa == 0
+
+
+def test_rounding_noise_is_not_a_negative_square():
+    """A unitary constant plus coefficients at rounding size: every section
+    I - L L* cancels to noise, so a threshold relative to its eigenvalues
+    alone counted noise (kappa 6 at mu 12); the rounding floor counts none."""
+    gen = rng(70)
+    noise = [random_qmatrix(gen, 1, 1, 1e-17) for _ in range(20)]
+    res = neg_squares(SliceSeries([QMatrix.eye(1)] + noise), mu_max=12)
+    assert res.counts == [0] * 13 and res.kappa == 0
+    U = random_unitary(gen, 2)
+    noise = [random_qmatrix(gen, 2, 2, 1e-16) for _ in range(12)]
+    assert neg_squares(SliceSeries([U] + noise), mu_max=10).kappa == 0
+
+
+def test_zero_threshold_is_relative_above_rounding_level():
+    """Off the rounding floor the threshold is 1e-8 max|eigenvalue|, and
+    scaling both signatures scales the thresholds and keeps the counts."""
+    f1 = blaschke_point(Quaternion(0.0, 0.6), 14)
+    f2 = blaschke_point(Quaternion(0.5), 14)
+    S = star_mul(star_inverse(star_mul(f1, f2)), SliceSeries.constant(Quaternion(0.5, 0.3), 14))
+    res = neg_squares(S, mu_max=10)
+    A = schur_kernel_coeffs(S).block_matrix(10)
+    for mu, t in enumerate(res.tols):
+        w = np.linalg.eigvalsh(A[:mu + 1, :mu + 1].complex_adjoint())
+        assert t == pytest.approx(1e-8 * np.max(np.abs(w)), rel=1e-12)
+    small = QMatrix.eye(1) * 1e-12
+    scaled = neg_squares(S, sigma1=small, sigma2=small, mu_max=10)
+    assert scaled.counts == res.counts and res.kappa == 2
+    assert np.allclose(scaled.tols, np.array(res.tols) * 1e-12, rtol=1e-9)
 
 
 @PROPERTY

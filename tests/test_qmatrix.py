@@ -7,10 +7,12 @@ certify products, solves, eigenstructure and signatures independently.
 
 import numpy as np
 import pytest
-from conftest import PROPERTY
+import scipy.linalg
+from conftest import PROPERTY, jordan_matrix
 from hypothesis import given, strategies as st
 
 from qschur import (
+    ContourSpec,
     QMatrix,
     Quaternion,
     QI,
@@ -37,14 +39,18 @@ from qschur import (
     range_basis,
     right_eigen_decomposition,
     right_eigen_spheres,
+    riesz_projector,
+    riesz_s_part,
     s_eigencheck,
     signature_blocks,
     singular_values,
     smallest_singular_value,
     solve,
     solve_right,
+    spectral_split,
     vstack,
 )
+from qschur.qmatrix import _eigenvalue_conds
 from qschur.sampling import (
     matrix_with_spectrum,
     random_hermitian,
@@ -248,6 +254,70 @@ def test_distinct_real_spheres_of_a_dense_matrix_stay_apart():
         assert len(parts) == 3
         for _, rep, basis in parts:
             assert (T @ basis - basis * rep).norm() < 1e-10
+
+
+def test_defective_sphere_is_one_sphere():
+    """A Jordan block of size k at 0.3 + 1.2i, plus 0.4: rounding splits its
+    eigenvalues by about eps^(1/k) (4-8e-8 for k = 2, 3-4e-5 for k = 3), far
+    past the clustering tolerance, but one backward error of rounding size
+    makes them equal, so they form one sphere of multiplicity k; the Riesz
+    split classifies it whole."""
+    spec = ContourSpec(0.0, 1.0, 256)
+    for k in (2, 3):
+        for seed in range(20):
+            for cond in (1.0, 10.0):
+                T = jordan_matrix(rng(seed), [(Quaternion(0.3, 1.2), k), (0.4, 1)], cond)
+                got = right_eigen_spheres(T)
+                assert [m for _, m in got] == [k, 1], (k, seed, cond, got)
+                assert got[0][0].isclose(Sphere(0.3, 1.2), tol=1e-9)
+                assert got[1][0].isclose(Sphere(0.4, 0.0), tol=1e-9)
+                if seed < 3:
+                    split = spectral_split(T, spec)
+                    assert [m for _, m in split.outside] == [k]
+                    assert split.outside[0][0].isclose(Sphere(0.3, 1.2), tol=1e-9)
+
+
+def test_well_conditioned_close_spheres_keep_todays_grouping():
+    """With every eigenvalue condition number 1 no merge stands: the five
+    spheres 0.9e-8 apart of test_eigen_sphere_clusters_do_not_chain stay in
+    the groups of the sorted passes, also under a unitary similarity."""
+    pts = [Quaternion(0.5 + i * 0.9e-8, 0.3) for i in range(5)]
+    want = [m for _, m in right_eigen_spheres(QMatrix.diag(pts))]
+    assert want == [2, 2, 1]
+    for seed in range(5):
+        got = right_eigen_spheres(matrix_with_spectrum(rng(seed), pts))
+        assert sum(m for _, m in got) == 5 and max(m for _, m in got) <= 2
+
+
+def test_eigenvalue_conds_against_eig():
+    """Condition numbers read off the Schur factor match |x| |y| / |y* x|
+    from the right and left eigenvectors of scipy's eig."""
+    for seed in range(5):
+        g = rng(seed)
+        R = np.triu(g.normal(size=(6, 6)) + 1j * g.normal(size=(6, 6)))
+        w, yl, xr = scipy.linalg.eig(R, left=True, right=True)
+        want = (np.linalg.norm(xr, axis=0) * np.linalg.norm(yl, axis=0)
+                / np.abs(np.sum(yl.conj() * xr, axis=0)))
+        got = _eigenvalue_conds(R, np.arange(6))
+        order = [int(np.argmin(np.abs(w - d))) for d in np.diag(R)]
+        assert np.allclose(got, want[order], rtol=1e-8)
+    # exactly repeated, uncoupled eigenvalues are perfectly conditioned;
+    # an exact Jordan chain is not
+    assert np.allclose(_eigenvalue_conds(np.eye(3, dtype=complex), np.arange(3)), 1.0)
+    assert _eigenvalue_conds(np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex), [0])[0] > 1e12
+
+
+def test_spectrum_rejects_non_square_and_non_finite_input():
+    a = np.eye(2, dtype=complex)
+    a[0, 1] = np.nan
+    T = QMatrix(a, 0 * a)
+    spec = ContourSpec(0.0, 1.0)
+    for call in (right_eigen_spheres, lambda M: riesz_projector(M, spec),
+                 lambda M: riesz_s_part(M, spec), lambda M: spectral_split(M, spec)):
+        with pytest.raises(NonFiniteInputError):
+            call(T)
+        with pytest.raises(ShapeError):
+            call(random_qmatrix(rng(0), 2, 3))
 
 
 def test_from_dict_rejects_non_finite_entries():

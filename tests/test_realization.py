@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from conftest import jordan_matrix
 
+import qschur.realization as realization_module
 from qschur import (
     BadSignatureError,
-    NotDiagonalizableError,
+    ContourSpec,
     NotObservableError,
     QMatrix,
     Quaternion,
@@ -20,6 +22,7 @@ from qschur import (
     blaschke_reciprocal,
     blaschke_reciprocal_realization,
     cascade,
+    gram_schmidt_columns,
     j_unitary_complete,
     kernel_identity_residual,
     krein_langer_compose,
@@ -29,6 +32,7 @@ from qschur import (
     realization_series,
     realization_sigma_I,
     signature_blocks,
+    spectral_split,
     sphere_of,
     star_mul,
     stein_solve,
@@ -372,9 +376,102 @@ def test_factor_unit_sphere_guard():
 
 
 def test_factor_defective_state_matrix():
+    """A nilpotent Jordan block has all its spectrum inside: kappa = 0 and
+    S0 is S itself."""
     A = QMatrix.from_entries([[0, 1], [0, 0]])
     R = Realization(A, QMatrix.from_entries([[1.0], [1.0]]),
                     QMatrix.from_entries([[1.0, 0.0]]), QMatrix.scalar(0.0),
                     sigma=QMatrix.eye(1))
-    with pytest.raises(NotDiagonalizableError):
+    f = krein_langer_factor(R, degree=16)
+    assert f.kappa == 0 and f.zero_spheres == []
+    assert series_gap(f.schur_series, realization_series(R, 16), 16) == 0.0
+
+
+# (Jordan blocks of A, outputs): one outside sphere of multiplicity 2 and one
+# of multiplicity 3, each beside an inside state; a defective outside sphere,
+# a simple outside sphere and an inside state.  Outside moduli are at least
+# 1.2, so the 256-node Riesz projector of the unit circle has converged.
+JORDAN_CASES = [
+    ([(Quaternion(0.3, 1.2), 2), (Quaternion(0.2, 0.0, 0.3), 1)], 1),
+    ([(Quaternion(-0.5, 0.0, 1.2), 3), (Quaternion(0.4), 1)], 1),
+    ([(Quaternion(0.2, 0.0, 0.0, 1.3), 2), (Quaternion(-1.25), 1),
+      (Quaternion(0.1, 0.5), 1)], 2),
+]
+
+
+@pytest.mark.parametrize("cond", [1.0, 10.0])
+@pytest.mark.parametrize("case", range(len(JORDAN_CASES)))
+def test_factor_jordan_outside_spectrum(case, cond, monkeypatch):
+    """Krein-Langer on a defective outside spectrum: kappa and the zero
+    spheres count algebraic multiplicity, W * S0 = S, S0 has no negative
+    squares, and the Schur subspace V is ran(I - P) for the Riesz projector
+    P of the unit circle."""
+    blocks, m = JORDAN_CASES[case]
+    gen = rng(90 + case)
+    A = jordan_matrix(gen, blocks, cond)
+    R = j_unitary_complete(A, random_qmatrix(gen, m, A.rows), QMatrix.eye(m))
+    bases = []
+
+    def spy(M, *args, **kw):
+        bases.append(gram_schmidt_columns(M, *args, **kw)[0])
+        return bases[-1], bases[-1].cols
+
+    monkeypatch.setattr(realization_module, "gram_schmidt_columns", spy)
+    f = krein_langer_factor(R, degree=40)
+    outside = [(lam, size) for lam, size in blocks if abs(lam) > 1.0]
+    assert f.kappa == sum(size for _, size in outside)
+    want = sorted(((sphere_of(lam.inverse()), size) for lam, size in outside),
+                  key=lambda t: (t[0].re, t[0].im_mag))
+    assert [mult for _, mult in f.zero_spheres] == [mult for _, mult in want]
+    for (got, _), (sph, _) in zip(f.zero_spheres, want):
+        assert got.isclose(sph, tol=1e-9)
+    S = realization_series(R, 40)
+    recon = star_mul(f.w_series, f.schur_series)
+    for n in range(41):
+        gap = (recon.coeff(n) - S.coeff(n)).norm()
+        assert gap <= 1e-10 * (1.0 + S.coeff(n).norm())
+    assert neg_squares(f.schur_series, mu_max=8).kappa == 0
+    V = bases[-1]
+    split = spectral_split(A, ContourSpec(0.0, 1.0, 256))
+    assert A.rows - split.rank == f.kappa == V.cols
+    # V lies in ran(I - P), which has the same dimension
+    assert (split.projector @ V).norm() <= 1e-8 * (1.0 + split.projector.norm())
+
+
+def test_factor_jordan_block_without_inside_states():
+    """The 2x2 Jordan block at 0.3 + 1.2i with C = [1, 0.5]: every state is
+    outside, so S0 is a unitary constant up to rounding, which the kernel
+    sections count as no negative square."""
+    A = QMatrix.from_entries([[complex(0.3, 1.2), 1.0], [0.0, complex(0.3, 1.2)]])
+    R = j_unitary_complete(A, QMatrix.from_entries([[1.0, 0.5]]), QMatrix.eye(1))
+    f = krein_langer_factor(R)
+    assert f.kappa == 2
+    [(sphere, mult)] = f.zero_spheres
+    assert mult == 2 and sphere.isclose(sphere_of(Quaternion(0.3, 1.2).inverse()), tol=1e-12)
+    S = realization_series(R, 48)
+    recon = star_mul(f.w_series, f.schur_series)
+    for n in range(49):
+        assert (recon.coeff(n) - S.coeff(n)).norm() <= 1e-10 * (1.0 + S.coeff(n).norm())
+    assert neg_squares(f.schur_series, mu_max=12).counts == [0] * 13
+
+
+def test_factor_sphere_straddling_the_unit_sphere():
+    """A Jordan block of size 3 on a sphere of modulus 1 + 1e-6 clears the
+    unit band, but rounding splits its eigenvalues by about 3e-5, to both
+    sides of the unit circle: no outside invariant subspace separates it."""
+    gen = rng(95)
+    A = jordan_matrix(gen, [(Quaternion(0.6, 0.8) * (1.0 + 1e-6), 3), (Quaternion(0.3), 1)])
+    R = Realization(A, random_qmatrix(gen, 4, 1), random_qmatrix(gen, 1, 4),
+                    QMatrix.eye(1), sigma=QMatrix.eye(1))
+    with pytest.raises(SpectrumOnUnitSphereError):
         krein_langer_factor(R)
+
+
+def test_stein_solve_checks_shapes():
+    A = QMatrix.eye(2) * 0.5
+    with pytest.raises(ShapeError):
+        stein_solve(A, QMatrix.eye(3), QMatrix.eye(3))
+    with pytest.raises(ShapeError):
+        stein_solve(A, QMatrix.eye(2), QMatrix.eye(3))
+    with pytest.raises(ShapeError):
+        stein_solve(QMatrix.zeros(2, 3), QMatrix.eye(3), QMatrix.eye(3))
