@@ -21,14 +21,17 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
 
+import numpy as np
+
 from .errors import QschurError, ShapeError
 from .quat import Quaternion, Sphere, UnitImaginary
 from .qmatrix import QMatrix, right_eigen_spheres
-from .series import SliceSeries
+from .series import SliceSeries, star_mul
 from .sresolvent import ContourSpec, resolvent_eq_residuals, s_resolvent_left
 from .kernels import neg_squares
 from .blaschke import DEFAULT_DEGREE, blaschke_product
@@ -297,10 +300,8 @@ def cmd_kl_factor(args):
         R = load_realization(args.input)
     fac = krein_langer_factor(R, degree=args.degree)
     S = realization_series(R, args.degree)
-    from .series import star_mul
     recon = star_mul(fac.w_series, fac.schur_series)
-    resid = max((recon.coeff(n) - S.coeff(n)).norm() / (1.0 + S.coeff(n).norm())
-                for n in range(args.degree + 1))
+    resid = float(np.max((recon - S).coeff_norms() / (1.0 + S.coeff_norms())))
     payload = {"kappa": fac.kappa,
                "zero_spheres": [{"re": s.re, "im": s.im_mag, "mult": m}
                                 for s, m in fac.zero_spheres],
@@ -341,6 +342,17 @@ def cmd_verify(args):
 # -- parser ----------------------------------------------------------------------
 
 
+def _count(text):
+    """argparse type of --degree and --mu-max: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be >= 0, got %d" % value)
+    return value
+
+
 def _add_common(p, fmt=True, seed=True, tol=None):
     if fmt:
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
@@ -350,7 +362,10 @@ def _add_common(p, fmt=True, seed=True, tol=None):
         p.add_argument("--tol", type=float, default=tol)
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built once per process; parse_args returns a
+    fresh Namespace on every call."""
     top = _Parser(prog="qschur",
                   description="quaternionic slice-function toolkit")
     sub = top.add_subparsers(dest="command", required=True)
@@ -373,28 +388,28 @@ def build_parser():
 
     p = sub.add_parser("negsq", help="negative squares of a series kernel")
     p.add_argument("--input", required=True, help="series JSON file")
-    p.add_argument("--mu-max", type=int, default=12)
+    p.add_argument("--mu-max", type=_count, default=12)
     _add_common(p, seed=False, tol=0.0)
     p.set_defaults(func=cmd_negsq)
 
     p = sub.add_parser("blaschke", help="product with prescribed zeros")
     p.add_argument("--zeros", required=True,
                    help="semicolon-separated zeros: w,x,y,z or sphere:re,im")
-    p.add_argument("--degree", type=int, default=DEFAULT_DEGREE)
+    p.add_argument("--degree", type=_count, default=DEFAULT_DEGREE)
     _add_common(p, seed=False)
     p.set_defaults(func=cmd_blaschke)
 
     p = sub.add_parser("realize", help="J-unitary completion of (A, C, sigma)")
     p.add_argument("--input", help="JSON file with A, C and optional sigma")
     p.add_argument("--demo", help="built-in demo realization name")
-    p.add_argument("--degree", type=int, default=8)
+    p.add_argument("--degree", type=_count, default=8)
     _add_common(p, tol=1e-8)
     p.set_defaults(func=cmd_realize)
 
     p = sub.add_parser("kl-factor", help="reciprocal/plain factorization")
     p.add_argument("--input", help="realization JSON file")
     p.add_argument("--demo", help="built-in demo realization name")
-    p.add_argument("--degree", type=int, default=DEFAULT_DEGREE)
+    p.add_argument("--degree", type=_count, default=DEFAULT_DEGREE)
     _add_common(p, tol=1e-7)
     p.set_defaults(func=cmd_kl_factor)
 
@@ -403,16 +418,15 @@ def build_parser():
                    help="suite name (repeatable; default all)")
     p.add_argument("--list", action="store_true", help="list suite names")
     p.add_argument("--nodes", type=int, default=256)
-    p.add_argument("--degree", type=int, default=40)
-    p.add_argument("--mu-max", type=int, default=8)
+    p.add_argument("--degree", type=_count, default=40)
+    p.add_argument("--mu-max", type=_count, default=8)
     _add_common(p, tol=1.0)
     p.set_defaults(func=cmd_verify)
     return top
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CLIParseError as exc:

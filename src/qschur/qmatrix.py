@@ -234,8 +234,13 @@ class QMatrix:
 
     def complex_adjoint(self):
         """The 2r x 2c complex adjoint chi(M)."""
-        return np.block([[self._a, self._b],
-                         [-np.conj(self._b), np.conj(self._a)]])
+        r, c = self.shape
+        chi = np.empty((2 * r, 2 * c), dtype=complex)
+        chi[:r, :c] = self._a
+        chi[:r, c:] = self._b
+        np.negative(np.conj(self._b), out=chi[r:, :c])
+        np.conj(self._a, out=chi[r:, c:])
+        return chi
 
     def allclose(self, other, tol=1e-12):
         other = as_qmatrix(other)
@@ -251,7 +256,7 @@ class QMatrix:
         return {
             "rows": self.rows,
             "cols": self.cols,
-            "entries": [[float(v) for v in row] for row in comp],
+            "entries": comp.tolist(),
         }
 
     @classmethod
@@ -756,8 +761,60 @@ class HermSpectrum:
         return self.signature[1]
 
 
+def _group_bases(U, starts, sizes, rtol=1e-8):
+    """Orthonormal quaternionic bases of groups of chi eigenvectors, as psi
+    columns (2n, k) per group of 2k columns, all groups at once.
+
+    Group g is the 2k_g consecutive columns of U from starts[g]; their span
+    is psi of a k_g-dimensional quaternionic subspace.  Step t of the
+    pivoted Gram-Schmidt of gram_schmidt_columns runs for every group with
+    t < k_g in one batch of array products, so there are max k_g steps: one
+    when all eigenvalues are simple.  Returns a (groups, 2n, max k_g) array.
+
+    Raises NotHermitianError if some group has fewer than k_g directions.
+    """
+    n2 = U.shape[0]
+    n = n2 // 2
+    mult = sizes // 2
+    K = int(mult.max())
+    G = np.arange(len(sizes))
+    span = np.arange(2 * K)
+    X = U[:, np.minimum(starts[:, None] + span, n2 - 1)].transpose(1, 0, 2)
+    X = X * (span < sizes[:, None])[:, None, :]
+    W = np.zeros((len(sizes), n2, 2 * K), dtype=complex)  # psi(q), psi(q j) pairs
+    norms = np.linalg.norm(X, axis=1)
+    cut = rtol * norms.max(axis=1)
+    for t in range(K):
+        active = t < mult
+        k = np.argmax(norms, axis=1)
+        v = X[G, :, k]
+        X[G, :, k] = 0.0
+        if t:  # second orthogonalization pass against the accepted columns
+            done = W[:, :, :2 * t]
+            v -= (done @ (done.conj().transpose(0, 2, 1) @ v[:, :, None]))[:, :, 0]
+        nv = np.linalg.norm(v, axis=1)
+        if np.any(active & (nv <= cut)):
+            raise NotHermitianError("eigenspace extraction failed (defective input?)")
+        v /= np.where(active, nv, np.inf)[:, None]  # groups already done get 0
+        pair = W[:, :, 2 * t:2 * t + 2]
+        pair[:, :, 0] = v
+        if t + 1 == K:
+            break
+        pair[:, :n, 1] = np.conj(v[:, n:])
+        pair[:, n:, 1] = -np.conj(v[:, :n])
+        X -= pair @ (pair.conj().transpose(0, 2, 1) @ X)
+        norms = np.linalg.norm(X, axis=1)
+    return W[:, :, 0::2]
+
+
 def herm_eig(H, tol=None):
     """Spectral data and congruence factor of a Hermitian quaternionic matrix.
+
+    The eigenvalues of chi(H) come from one eigh, in near-exact duplicate
+    pairs; consecutive ones closer than 1e-12 * (1 + max|eigenvalue|) form
+    one group, and a group of 2k of them is one quaternionic eigenvalue of
+    multiplicity k.  The eigenvectors of all groups are orthonormalized over
+    the quaternions in one batch (_group_bases).
 
     Parameters
     ----------
@@ -769,8 +826,8 @@ def herm_eig(H, tol=None):
     Returns
     -------
     (HermSpectrum, V) with H = V diag(I_t, -I_r, 0_s) V*.  V carries the
-    factors sqrt(|eigenvalue|); its columns are ordered positive, negative,
-    zero, and V is always invertible.
+    factors sqrt(|eigenvalue|); its columns are ordered positive (descending),
+    negative (ascending), zero, and V is always invertible.
 
     Raises
     ------
@@ -783,51 +840,36 @@ def herm_eig(H, tol=None):
         raise NotHermitianError("matrix is not Hermitian (defect %g)" % H.herm_defect())
     n = H.rows
     w, U = np.linalg.eigh(H.complex_adjoint())
-    scale = float(np.max(np.abs(w))) if len(w) else 0.0
+    scale = float(np.max(np.abs(w)))
     if tol is None:
         tol = 1e-8 * scale
     # consecutive grouping: chi eigenvalues occur in near-exact duplicates
     gap = 1e-12 * (1.0 + scale)
-    groups = []
-    start = 0
-    for i in range(1, 2 * n + 1):
-        if i == 2 * n or w[i] - w[i - 1] > gap:
-            groups.append(list(range(start, i)))
-            start = i
+    bounds = [0] + (np.flatnonzero(np.diff(w) > gap) + 1).tolist() + [2 * n]
     # every quaternionic eigenvalue shows up twice, so odd groups mean the
     # gap split a duplicate pair: merge such a group with its closer neighbour
-    while any(len(g) % 2 for g in groups):
-        i = next(k for k, g in enumerate(groups) if len(g) % 2)
-        if i + 1 < len(groups) and (i == 0 or
-                w[groups[i + 1][0]] - w[groups[i][-1]]
-                <= w[groups[i][0]] - w[groups[i - 1][-1]]):
-            groups[i] = groups[i] + groups.pop(i + 1)
-        else:
-            groups[i - 1] = groups[i - 1] + groups.pop(i)
-    eigs = []
-    plus, minus, zero = [], [], []
-    for grp in groups:
-        lam = float(np.mean(w[grp]))
-        mult = len(grp) // 2
-        cand = _columns_from_complex(U[:, grp], n)
-        basis, got = gram_schmidt_columns(cand, rtol=1e-8)
-        if got < mult:
-            raise NotHermitianError("eigenspace extraction failed (defective input?)")
-        cols = [basis.column(j) for j in range(mult)]
-        eigs.extend([lam] * mult)
-        for c in cols:
-            if lam > tol:
-                plus.append((lam, c * math.sqrt(lam)))
-            elif lam < -tol:
-                minus.append((lam, c * math.sqrt(-lam)))
-            else:
-                zero.append((lam, c))
-    plus.sort(key=lambda t: -t[0])
-    minus.sort(key=lambda t: t[0])
-    ordered = [c for _, c in plus] + [c for _, c in minus] + [c for _, c in zero]
-    V = hstack(ordered)
-    spec = HermSpectrum(sorted(eigs), (len(plus), len(minus), len(zero)))
-    return spec, V
+    while True:
+        odd = [i for i in range(len(bounds) - 1) if (bounds[i + 1] - bounds[i]) % 2]
+        if not odd:
+            break
+        i = odd[0]
+        right = w[bounds[i + 1]] - w[bounds[i + 1] - 1] if i + 2 < len(bounds) else np.inf
+        left = w[bounds[i]] - w[bounds[i] - 1] if i > 0 else np.inf
+        del bounds[i + 1 if right <= left else i]
+    starts = np.array(bounds[:-1])
+    sizes = np.diff(bounds)
+    lam = np.add.reduceat(w, starts) / sizes
+    mult = sizes // 2
+    basis = _group_bases(U, starts, sizes)
+    keep = np.arange(basis.shape[2]) < mult[:, None]
+    cols = basis.transpose(0, 2, 1)[keep].T      # (2n, n), group by group
+    lam_col = np.repeat(lam, mult)
+    kind = np.where(lam_col > tol, 0, np.where(lam_col < -tol, 1, 2))
+    # lam_col ascends group by group, and lexsort is stable
+    order = np.lexsort((np.where(kind == 0, -lam_col, lam_col), kind))
+    cols = cols[:, order] * np.sqrt(np.where(kind == 2, 1.0, np.abs(lam_col)))[order]
+    spec = HermSpectrum(lam_col.tolist(), tuple(np.bincount(kind, minlength=3).tolist()))
+    return spec, _columns_from_complex(cols, n)
 
 
 def signature_blocks(t, r, s, n=None):

@@ -52,7 +52,14 @@ from .qmatrix import (
     solve,
     vstack,
 )
-from .series import SliceSeries, star_inverse, star_left_eval, star_mul, star_solve_left
+from .series import (
+    SliceSeries,
+    _state_space_series,
+    star_inverse,
+    star_left_eval,
+    star_mul,
+    star_solve_left,
+)
 from . import kernels as _kernels
 
 
@@ -248,13 +255,12 @@ def j_unitary_complete(A, C, sigma):
 
 
 def realization_series(R, degree):
-    """Taylor coefficients D, CB, CAB, CA^2B, ... as a SliceSeries."""
-    coeffs = [R.D]
-    left = R.C
-    for _ in range(degree):
-        coeffs.append(left @ R.B)
-        left = left @ R.A
-    return SliceSeries(coeffs)
+    """Taylor coefficients D, CB, CAB, CA^2B, ... as a SliceSeries.
+
+    All of them come from one power sweep on the complex adjoint, by
+    doubling: about 2 log2(degree) array products in all.
+    """
+    return _state_space_series(R.A, R.B, R.C, R.D, degree)
 
 
 def realization_eval(R, p):
@@ -325,7 +331,14 @@ def realization_sigma_I(A, C):
 
 
 def cascade(R1, R2):
-    """Realization of the star product S1 * S2 from realizations of the factors."""
+    """Realization of the star product S1 * S2 from realizations of the factors.
+
+    The state is (x1, x2).  When both factors carry P and one sigma, each is
+    taken to be unitary for diag(P_i, sigma), as every completion here is;
+    the energy balances of the two factors then add up, so the cascade is
+    unitary for diag(P1, P2, sigma) and diag(P1, P2) is its Stein solution,
+    which is attached.
+    """
     if R1.B.cols != R2.C.rows:
         raise ShapeError("inner dimensions of the cascade do not match")
     n1, n2 = R1.state_dim, R2.state_dim
@@ -333,7 +346,11 @@ def cascade(R1, R2):
     B = vstack([R1.B @ R2.D, R2.B])
     C = hstack([R1.C, R1.D @ R2.C])
     D = R1.D @ R2.D
-    return Realization(A, B, C, D, sigma=R1.sigma)
+    P = None
+    if (R1.P is not None and R2.P is not None and R1.sigma is not None
+            and R2.sigma is not None and R1.sigma.allclose(R2.sigma)):
+        P = block([[R1.P, QMatrix.zeros(n1, n2)], [QMatrix.zeros(n2, n1), R2.P]])
+    return Realization(A, B, C, D, sigma=R1.sigma, P=P)
 
 
 def blaschke_reciprocal_realization(b, c=None):

@@ -14,6 +14,8 @@ tail beyond it.  Exact polynomial arithmetic is done by padding first.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg import solve_triangular
 
 from .errors import NotInvertibleAtZeroError, ShapeError, SingularMatrixError
 from .quat import Quaternion
@@ -101,8 +103,12 @@ class SliceSeries:
                        copy=False)
 
     def _zeros_around(self, before, after):
-        w = ((before, after), (0, 0), (0, 0))
-        return SliceSeries._from_arrays(np.pad(self._a, w), np.pad(self._b, w))
+        d = self.degree + 1
+        a = np.zeros((before + d + after,) + self.shape, dtype=complex)
+        b = np.zeros_like(a)
+        a[before:before + d] = self._a
+        b[before:before + d] = self._b
+        return SliceSeries._from_arrays(a, b)
 
     def pad(self, degree):
         return self if degree <= self.degree else self._zeros_around(0, degree - self.degree)
@@ -114,8 +120,12 @@ class SliceSeries:
         """Multiply by p^k."""
         return self._zeros_around(k, 0)
 
+    def coeff_norms(self):
+        """Frobenius norm of every coefficient, an array of length degree + 1."""
+        return np.sqrt((np.abs(self._a) ** 2 + np.abs(self._b) ** 2).sum(axis=(1, 2)))
+
     def norm_tail(self, start=0):
-        return float(sum(c.norm() for c in self.coeffs()[start:]))
+        return float(self.coeff_norms()[start:].sum())
 
     # -- ring operations ------------------------------------------------------------
 
@@ -248,31 +258,47 @@ def series_sym(f, tol=1e-10):
     return (fs + fs.conj()) * 0.5
 
 
+def _chi_stack(a, b):
+    """chi of every coefficient: (k, r, c) component arrays to (k, 2r, 2c)."""
+    return np.concatenate([np.concatenate([a, b], axis=2),
+                           np.concatenate([-b.conj(), a.conj()], axis=2)], axis=1)
+
+
 def star_solve_left(f, g, rtol=1e-12):
     """Solve f * x = g for a series x (degree = min of the two).
 
-    Requires the constant coefficient of f to be invertible.
+    Requires the constant coefficient of f to be invertible.  With
+    h = f_0^{-1} f, whose constant coefficient is I, the system is
+    L(h) stack(x) = stack(f_0^{-1} g).  On the complex adjoint, with chi(h_n)
+    as block (n + m, m) of the section and the psi of the columns of each
+    coefficient on both sides, L(h) is unit lower triangular, so x is one
+    triangular solve.
     """
     if f.rows != f.cols:
         raise ShapeError("left star division needs a square left factor")
     if g.rows != f.cols:
         raise ShapeError("star division shape mismatch")
-    c0 = f.coeff(0)
     try:
-        c0_inv = inverse(c0, rtol)
+        c0_inv = inverse(f.coeff(0), rtol)
     except SingularMatrixError as exc:
         raise NotInvertibleAtZeroError(
             "constant coefficient is singular, no star inverse exists") from exc
     d = min(f.degree, g.degree)
-    # x_n = f_0^{-1} (g_n - [f_n ... f_1] [x_0; ...; x_{n-1}]), the row left
-    # of the diagonal in block row n of L(f)
-    L = lower_toeplitz(f, d)
-    r = f.rows
-    x = c0_inv @ g.coeff(0)
-    for n in range(1, d + 1):
-        rhs = g.coeff(n) - L[n * r:(n + 1) * r, :n * r] @ x
-        x = vstack([x, c0_inv @ rhs])
-    return SliceSeries._from_stacked(x, d)
+    r, c = g.shape
+    K = c0_inv.complex_adjoint()
+    # E[d + k] = chi(h_k) after d zero blocks, so block (n, m) of the section
+    # is E[d + n - m]; the windows of reversed E are its block rows, as a
+    # view, and the reshape gathers them in one copy
+    E = np.zeros((2 * d + 1, 2 * r, 2 * r), dtype=complex)
+    E[d] = np.eye(2 * r)
+    E[d + 1:] = K @ _chi_stack(f._a[1:d + 1], f._b[1:d + 1])
+    block_rows = sliding_window_view(E[::-1], d + 1, axis=0)[::-1]
+    L = block_rows.transpose(0, 1, 3, 2).reshape(2 * r * (d + 1), -1)
+    rhs = K @ np.concatenate([g._a[:d + 1], -g._b[:d + 1].conj()], axis=1)
+    x = solve_triangular(L, rhs.reshape(2 * r * (d + 1), c), lower=True, unit_diagonal=True,
+                         check_finite=False)
+    x = x.reshape(d + 1, 2 * r, c)
+    return SliceSeries._from_arrays(x[:, :r], -x[:, r:].conj())
 
 
 def star_inverse(f, rtol=1e-12):
@@ -280,15 +306,33 @@ def star_inverse(f, rtol=1e-12):
     return star_solve_left(f, SliceSeries.one(f.degree, f.rows), rtol)
 
 
+def _state_space_series(A, B, C, D, degree):
+    """The series D + p C * (I - pA)^{-*} * B, whose coefficients are D and
+    C A^{n-1} B, truncated at degree.
+
+    The rows C A^k come from one power sweep by doubling on the complex
+    adjoint: [a, b], the top half of chi(M) for M = a + b j, times chi(N)
+    is the top half of chi(M N), so the stacked top halves of C A^k for
+    k < 2^(i+1) are those for k < 2^i above the same stack times chi(A^(2^i)).
+    """
+    m, p = C.rows, B.cols
+    rows = np.concatenate([C._a, C._b], axis=1)
+    power = A.complex_adjoint()
+    while len(rows) < degree * m:
+        rows = np.concatenate([rows, rows @ power])
+        power = power @ power
+    top = (rows[:degree * m] @ B.complex_adjoint()).reshape(degree, m, 2 * p)
+    return SliceSeries._from_arrays(np.concatenate([D._a[None], top[:, :, :p]]),
+                                    np.concatenate([D._b[None], top[:, :, p:]]))
+
+
 def star_resolvent(A, degree):
     """The series (I - pA)^{-*} = sum_n p^n A^n, truncated at degree."""
     A = as_qmatrix(A)
     if not A.is_square():
         raise ShapeError("resolvent series of a non-square matrix")
-    coeffs = [QMatrix.eye(A.rows)]
-    for _ in range(degree):
-        coeffs.append(coeffs[-1] @ A)
-    return SliceSeries(coeffs)
+    I = QMatrix.eye(A.rows)
+    return _state_space_series(A, A, I, I, degree)
 
 
 def star_resolvent_eval(A, p, rtol=1e-12):

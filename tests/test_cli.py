@@ -5,7 +5,8 @@ import json
 import pytest
 
 from qschur import Quaternion, QMatrix, Sphere, blaschke_reciprocal
-from qschur.cli import CLIParseError, main, parse_quaternion, parse_zero
+import qschur.cli
+from qschur.cli import CLIParseError, build_parser, main, parse_quaternion, parse_zero
 
 
 def run(capsys, argv):
@@ -110,6 +111,43 @@ def test_bad_flag_exits_3(capsys):
     assert exc.value.code == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["negsq", "--input", "s.json", "--mu-max", "-2"],
+    ["blaschke", "--zeros", "0.5", "--degree", "-1"],
+    ["realize", "--demo", "moebius", "--degree", "-1"],
+    ["kl-factor", "--demo", "reciprocal", "--degree", "-1"],
+    ["verify", "--degree", "-1"],
+    ["verify", "--mu-max", "-1"],
+])
+def test_negative_degree_or_mu_max_exits_3(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 3
+    assert "must be >= 0" in capsys.readouterr().err
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_reused_parser_keeps_each_call_to_its_own_options(monkeypatch, capsys):
+    rc, out, _ = run(capsys, ["realize", "--demo", "moebius", "--format", "json"])
+    assert rc == 0 and json.loads(out)["stein_residual"] < 1e-10
+    rc, out, _ = run(capsys, ["realize", "--demo", "moebius"])
+    assert rc == 0 and out.startswith("state dimension")
+    degrees = []
+    factor = qschur.cli.krein_langer_factor
+
+    def recording(R, degree):
+        degrees.append(degree)
+        return factor(R, degree=degree)
+
+    monkeypatch.setattr(qschur.cli, "krein_langer_factor", recording)
+    assert run(capsys, ["kl-factor", "--demo", "reciprocal", "--degree", "12"])[0] == 0
+    assert run(capsys, ["kl-factor", "--demo", "reciprocal"])[0] == 0
+    assert degrees == [12, qschur.cli.DEFAULT_DEGREE]
+
+
 def test_negsq_reciprocal_series(tmp_path, capsys):
     S = blaschke_reciprocal(Quaternion(0.3, 0.4), degree=12).series
     f = tmp_path / "s.json"
@@ -189,6 +227,15 @@ def test_realize_from_pair_file(tmp_path, capsys):
     assert max(abs(v) for v in head[0]["entries"][0]) < 1e-12
 
 
+def test_realize_demo_reciprocal_cascade(capsys):
+    """The cascade demo carries the Stein solution diag(P1, P2) of its factors."""
+    rc, out, _ = run(capsys, ["realize", "--demo", "reciprocal", "--format", "json"])
+    assert rc == 0
+    payload = json.loads(out)
+    assert payload["stein_residual"] <= 1e-8
+    assert payload["junitary_residual"] <= 1e-8
+
+
 def _pair_file(tmp_path, A, C):
     f = tmp_path / "pair.json"
     f.write_text(json.dumps({"A": A.to_dict(), "C": C.to_dict()}))
@@ -217,6 +264,21 @@ def test_kl_factor_demo_reciprocal(capsys):
     assert abs(sph["re"] - 0.25) < 1e-6
     assert abs(sph["im"] - (0.4 ** 2 + 0.1 ** 2) ** 0.5) < 1e-6
     assert payload["reconstruction_residual"] < 1e-7
+
+
+def test_kl_factor_residual_is_the_worst_relative_coefficient_error(capsys):
+    from qschur import krein_langer_factor, realization_series, star_mul
+    from qschur.cli import demo_realization
+    rc, out, _ = run(capsys, ["kl-factor", "--demo", "reciprocal", "--degree", "30",
+                              "--format", "json"])
+    assert rc == 0
+    R = demo_realization("reciprocal", 0)
+    fac = krein_langer_factor(R, degree=30)
+    S = realization_series(R, 30)
+    recon = star_mul(fac.w_series, fac.schur_series)
+    want = max((recon.coeff(n) - S.coeff(n)).norm() / (1.0 + S.coeff(n).norm())
+               for n in range(31))
+    assert abs(json.loads(out)["reconstruction_residual"] - want) <= 1e-10 * want
 
 
 def test_kl_factor_roundtrip_via_file(tmp_path, capsys):

@@ -51,6 +51,7 @@ from qschur import (
     vstack,
 )
 from qschur.qmatrix import _eigenvalue_conds
+from oracles import herm_eig_by_groups, projectors_by_eigenvalue
 from qschur.sampling import (
     matrix_with_spectrum,
     random_hermitian,
@@ -551,6 +552,37 @@ def test_herm_eig_rejects_nonhermitian():
     A = random_qmatrix(g, 3)
     with pytest.raises(NotHermitianError):
         herm_eig(A + A.adjoint() + 0.1 * QI * QMatrix.eye(3))
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 8),
+       spread=st.sampled_from([0.0, 1e-13, 1e-9, 1.0]), blocks=st.booleans())
+def test_herm_eig_matches_group_loop(seed, n, spread, blocks):
+    """Batched Gram-Schmidt over all eigenvalue groups against one call per
+    group.  Eigenvalues repeat (drawn from five values), sit 1e-13 apart
+    (merged into one group) or 1e-9 apart (kept apart), or are spread out;
+    with blocks, H also carries quaternionic rotation blocks [[0, q], [-q, 0]]
+    (eigenvalues +-|q|) under a random unitary."""
+    gen = rng(seed)
+    lam = gen.choice([-2.0, -0.5, 0.0, 0.7, 1.5], size=n) + spread * gen.normal(size=n)
+    entries = [[lam[i] if i == j else 0.0 for j in range(n)] for i in range(n)]
+    if blocks and n >= 2:
+        q = random_quaternion(gen)
+        entries[0][:2], entries[1][:2] = [0.0, q], [q.conj(), 0.0]
+    D = QMatrix.from_entries(entries)
+    U = random_unitary(gen, n)
+    H = U @ D @ U.adjoint()
+    H = (H + H.adjoint()) * 0.5
+    spec, V = herm_eig(H)
+    want, W = herm_eig_by_groups(H)
+    assert spec.signature == want.signature
+    np.testing.assert_allclose(spec.eigenvalues, want.eigenvalues, rtol=0, atol=1e-15 * (1 + H.norm()))
+    got, ref = projectors_by_eigenvalue(spec, V), projectors_by_eigenvalue(want, W)
+    assert len(got) == len(ref)
+    for (l1, P1), (l2, P2) in zip(got, ref):
+        assert abs(l1 - l2) <= 1e-15 * (1 + H.norm())
+        assert (P1 - P2).norm() <= 1e-12 * (1 + H.norm())
+    assert (V.adjoint() @ V - W.adjoint() @ W).norm() <= 1e-12 * (1 + H.norm())
 
 
 def test_sylvester_inertia_invariance():

@@ -39,6 +39,7 @@ from qschur import (
 )
 from qschur.qmatrix import from_complex_adjoint, inverse
 from qschur.sampling import ball_point, matrix_with_spectrum, random_qmatrix, random_quaternion, rng
+from oracles import realization_series_by_degree
 
 
 def series_gap(f, g, degree):
@@ -259,6 +260,42 @@ def test_cascade_multiplies_series():
     want = star_mul(realization_series(R1, 12), realization_series(R2, 12))
     got = realization_series(R, 12)
     assert series_gap(got, want, 12) < 1e-12
+
+
+def test_cascade_carries_the_stein_solution_of_its_factors():
+    g = rng(89)
+    R1 = j_unitary_complete(random_qmatrix(g, 2, scale=0.3),
+                            QMatrix.from_entries([[random_quaternion(g), random_quaternion(g)]]),
+                            QMatrix.eye(1))
+    R2 = blaschke_reciprocal_realization(Quaternion(0.25, 0.4, 0.1))
+    R = cascade(R1, R2)
+    P, _ = stein_solve(R.A, R.C, R.sigma)
+    assert (R.P - P).norm() <= 1e-10 * (1.0 + P.norm())
+    assert R.stein_residual() <= 1e-10 and R.junitary_residual() <= 1e-10
+    R2.sigma = -R2.sigma
+    assert cascade(R1, R2).P is None
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_realization_series_matches_per_degree_loop(case):
+    """The doubling power sweep against one QMatrix product per coefficient,
+    on random state matrices and on Jordan blocks, inside and outside."""
+    g = rng(300 + case)
+    n, m, p = 1 + case % 5, 1 + case % 2, 1 + case % 3
+    if case % 2:
+        lam = Quaternion(0.6, 0.5) * (0.9 if case < 4 else 1.2)
+        A = jordan_matrix(g, [(lam, n)], cond=1.0 if case < 6 else 10.0)
+    else:
+        A = random_qmatrix(g, n)
+        A = A * ((0.8 if case < 4 else 1.2) / A.norm2())
+    B, C, D = random_qmatrix(g, n, p), random_qmatrix(g, m, n), random_qmatrix(g, m, p)
+    got = realization_series(Realization(A, B, C, D), 48)
+    want = realization_series_by_degree(A, B, C, D, 48)
+    bound = [D.norm()] + [C.norm() * B.norm() * max(1.0, A.norm2()) ** (k - 1)
+                          for k in range(1, 49)]
+    assert got.shape == (m, p) and got.degree == 48
+    assert np.all((got - want).coeff_norms() <= 1e-13 * np.array(bound))
+    assert realization_series(Realization(A, B, C, D), 0).coeff(0).allclose(D, tol=0.0)
 
 
 def test_cascade_shape_guard():

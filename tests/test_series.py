@@ -25,6 +25,8 @@ from qschur import (
     star_solve_left,
 )
 from qschur.sampling import random_qmatrix, random_quaternion, random_scalar_series, rng
+from qschur.series import _state_space_series
+from oracles import star_solve_left_by_degree
 
 
 def conv_brute(f, g):
@@ -90,6 +92,44 @@ def test_star_solve_left_residual(seed, r, c, df, dg):
     scale = 1.0 + max(m.norm() for m in x.coeffs())
     for n, w in enumerate(conv_brute(f, x)):
         assert (w - g.coeff(n)).norm() <= 1e-12 * scale
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2 ** 32 - 1), r=st.integers(1, 3), c=st.integers(1, 3),
+       degree=st.integers(0, 48), radius=st.sampled_from([0.0, 0.5, 1.0, 1.25]))
+def test_star_solve_left_matches_per_degree_loop(seed, r, c, degree, radius):
+    """The triangular solve against block forward substitution.  For radius
+    > 0, f is the series of a realization whose state matrix has spectral
+    radius about radius, so its coefficients grow like those of the KL
+    series W when radius > 1; radius 0 draws every coefficient at random."""
+    gen = rng(seed)
+    if radius:
+        A = random_qmatrix(gen, r)
+        A = A * (radius / A.norm2())
+        f = _state_space_series(A, random_qmatrix(gen, r), random_qmatrix(gen, r),
+                                QMatrix.eye(r) + random_qmatrix(gen, r, scale=0.3), degree)
+    else:
+        f = random_series(gen, degree, r, r)
+        f = SliceSeries([f.coeff(0) + 2 * QMatrix.eye(r)] + f.coeffs()[1:])
+    g = random_series(gen, degree, r, c)
+    x = star_solve_left(f, g)
+    want = star_solve_left_by_degree(f, g)
+    assert x.degree == degree and x.shape == (r, c)
+    assert np.all((x - want).coeff_norms() <= 1e-12 * (1.0 + want.coeff_norms()))
+
+
+def test_star_inverse_keeps_shape_and_degree_zero():
+    f = SliceSeries.constant(QMatrix.from_entries([[QI, 1], [0, QJ]]), 0)
+    inv = star_inverse(f)
+    assert inv.degree == 0
+    assert (f.coeff(0) @ inv.coeff(0) - QMatrix.eye(2)).norm() < 1e-14
+
+
+def test_coeff_norms_and_norm_tail():
+    f = random_series(rng(9), 5, 2, 3)
+    want = [f.coeff(n).norm() for n in range(6)]
+    np.testing.assert_allclose(f.coeff_norms(), want, rtol=1e-15)
+    assert abs(f.norm_tail(2) - sum(want[2:])) <= 1e-14 * sum(want)
 
 
 def test_star_mul_noncommutative():
@@ -226,6 +266,17 @@ def test_star_resolvent_inverts_linear_pencil():
     prod = star_mul(pencil, R)
     assert (prod.coeff(0) - QMatrix.eye(2)).norm() < 1e-13
     assert prod.norm_tail(1) < 1e-12
+
+
+def test_star_resolvent_is_the_power_sequence():
+    g = rng(8)
+    A = random_qmatrix(g, 3, scale=0.4)
+    R = star_resolvent(A, 20)
+    power = QMatrix.eye(3)
+    for n in range(21):
+        assert (R.coeff(n) - power).norm() <= 1e-13 * (1.0 + power.norm())
+        power = power @ A
+    assert star_resolvent(A, 0).degree == 0
 
 
 def frozen_left_eval_oracle():
