@@ -1,14 +1,14 @@
 """Run the layer benchmarks on a parent checkout and on this one, and write
 the medians side by side.
 
-    python bench/report.py --parent PATH --out BENCH_8.json [--pairs 3]
+    python bench/report.py --parent PATH --out BENCH_8.json
 
 PATH is the root of the parent checkout; the benchmark files of this
 checkout time both, each side in its own pytest process with BLAS pinned to
-one thread.  Pairs alternate which side runs first.  Per case and side the
-file holds the median over runs of each run's median and IQR (seconds), and
-the output checksum of the first run; `checksum_rel_diff` compares the two
-sides' checksums.
+one thread.  The PAIRS pairs of runs alternate which side runs first.  Per
+case and side the file holds the median over runs of each run's median and
+IQR (seconds), and the output checksum of the first run; `checksum_rel_diff`
+compares the two sides' checksums.
 """
 
 import argparse
@@ -26,6 +26,7 @@ import scipy
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+PAIRS = 10
 
 
 def run_side(src, path):
@@ -41,13 +42,12 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--parent", required=True, help="root of the parent checkout")
     p.add_argument("--out", required=True)
-    p.add_argument("--pairs", type=int, default=3)
     args = p.parse_args(argv)
     sides = {"parent": os.path.join(os.path.abspath(args.parent), "src"),
              "change": os.path.join(ROOT, "src")}
     runs = {side: [] for side in sides}
     with tempfile.TemporaryDirectory() as tmp:
-        for k in range(args.pairs):
+        for k in range(PAIRS):
             order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
             for side in order:
                 runs[side].append(run_side(sides[side], os.path.join(tmp, "%s-%d.json" % (side, k))))
@@ -68,7 +68,7 @@ def main(argv=None):
     report = {"host": {"cpu_count": os.cpu_count(), "machine": platform.machine(),
                        "python": platform.python_version(), "numpy": numpy.__version__,
                        "scipy": scipy.__version__, "blas_threads": 1},
-              "pairs": args.pairs, "cases": cases}
+              "pairs": PAIRS, "cases": cases}
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")

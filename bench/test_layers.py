@@ -16,7 +16,13 @@ import pytest
 import qschur.cli
 from qschur import QMatrix, Quaternion, Realization, herm_eig, star_inverse
 from qschur.realization import realization_series
-from qschur.sampling import matrix_with_spectrum, random_hermitian, random_qmatrix, rng
+from qschur.sampling import (
+    matrix_with_spectrum,
+    random_hermitian,
+    random_qmatrix,
+    random_unitary,
+    rng,
+)
 
 
 def _norms(series):
@@ -51,9 +57,19 @@ def test_realization_series(benchmark, n):
     benchmark.extra_info["checksum"] = _norms(out)
 
 
+@pytest.mark.parametrize("spectrum", ["simple", "mixed"])
 @pytest.mark.parametrize("n", [4, 12, 20])
-def test_herm_eig(benchmark, n):
-    H = random_hermitian(rng(300 + n), n)
+def test_herm_eig(benchmark, n, spectrum):
+    """Random Hermitian (all eigenvalues simple), or one eigenvalue of
+    multiplicity n / 2 beside n / 2 simple ones."""
+    gen = rng(300 + n)
+    if spectrum == "simple":
+        H = random_hermitian(gen, n)
+    else:
+        lam = np.r_[np.full(n // 2, 0.5), gen.uniform(-2.0, 2.0, size=n - n // 2)]
+        U = random_unitary(gen, n)
+        H = U @ QMatrix.diag([Quaternion(x) for x in lam]) @ U.adjoint()
+        H = (H + H.adjoint()) * 0.5
     spec, V = benchmark(herm_eig, H)
     benchmark.extra_info["checksum"] = float(np.sum(spec.eigenvalues)) + V.norm()
 

@@ -43,6 +43,7 @@ from .realization import (
     krein_langer_factor,
     realization_sigma_I,
     realization_series,
+    stein_solve,
 )
 from . import sampling
 from .verify import RunConfig, SUITES, run_suites
@@ -147,7 +148,11 @@ def demo_realization(name, seed):
         R1 = blaschke_reciprocal_realization(Quaternion(0.25, 0.4, 0.1))
         R2 = realization_sigma_I(QMatrix.scalar(Quaternion(0.4)),
                                  QMatrix.scalar(Quaternion(1.0)))
-        return cascade(R1, R2)
+        # cascade attaches no P; both factors are unitary for diag(P_i, 1), so
+        # the cascade is unitary for its Stein solution diag(P1, P2)
+        R = cascade(R1, R2)
+        R.P, _ = stein_solve(R.A, R.C, R.sigma)
+        return R
     raise CLIParseError("unknown demo realization %r (try moebius, reciprocal)" % name)
 
 

@@ -29,6 +29,7 @@ from .errors import (
     NonFiniteInputError,
     NotDiagonalizableError,
     NotHermitianError,
+    RankDeficiencyError,
     ShapeError,
     SingularMatrixError,
     ZeroVectorError,
@@ -456,6 +457,25 @@ def gram_schmidt_columns(M, rtol=1e-10):
     return _columns_from_complex(W[:, 0:2 * rank:2], n), rank
 
 
+def _column_echelon(M, rtol=1e-10):
+    """M Q for the unitary Q that puts M in pivoted column echelon form.
+
+    Column k of M Q is zero in the pivot rows of the columns before it and
+    positive real in its own pivot row: the row of largest norm once the
+    earlier pivot rows are projected out.  Q is the Gram-Schmidt basis of
+    the columns of M*, that is of the rows of M, in that pivot order.  For a
+    unitary U, M U gives the same pivots and M U (U* Q) = M Q, so the result
+    depends on M only up to a right unitary factor, which is what makes it a
+    canonical form (up to near ties between pivot rows).
+
+    Raises RankDeficiencyError if M has dependent columns.
+    """
+    Q, rank = gram_schmidt_columns(M.adjoint(), rtol)
+    if rank < M.cols:
+        raise RankDeficiencyError("column echelon form needs independent columns")
+    return M @ Q
+
+
 def indefinite_gram_schmidt(M, J, neutral_tol=1e-10):
     """Orthonormalize columns under the indefinite metric [u, v] = v* J u.
 
@@ -761,60 +781,15 @@ class HermSpectrum:
         return self.signature[1]
 
 
-def _group_bases(U, starts, sizes, rtol=1e-8):
-    """Orthonormal quaternionic bases of groups of chi eigenvectors, as psi
-    columns (2n, k) per group of 2k columns, all groups at once.
-
-    Group g is the 2k_g consecutive columns of U from starts[g]; their span
-    is psi of a k_g-dimensional quaternionic subspace.  Step t of the
-    pivoted Gram-Schmidt of gram_schmidt_columns runs for every group with
-    t < k_g in one batch of array products, so there are max k_g steps: one
-    when all eigenvalues are simple.  Returns a (groups, 2n, max k_g) array.
-
-    Raises NotHermitianError if some group has fewer than k_g directions.
-    """
-    n2 = U.shape[0]
-    n = n2 // 2
-    mult = sizes // 2
-    K = int(mult.max())
-    G = np.arange(len(sizes))
-    span = np.arange(2 * K)
-    X = U[:, np.minimum(starts[:, None] + span, n2 - 1)].transpose(1, 0, 2)
-    X = X * (span < sizes[:, None])[:, None, :]
-    W = np.zeros((len(sizes), n2, 2 * K), dtype=complex)  # psi(q), psi(q j) pairs
-    norms = np.linalg.norm(X, axis=1)
-    cut = rtol * norms.max(axis=1)
-    for t in range(K):
-        active = t < mult
-        k = np.argmax(norms, axis=1)
-        v = X[G, :, k]
-        X[G, :, k] = 0.0
-        if t:  # second orthogonalization pass against the accepted columns
-            done = W[:, :, :2 * t]
-            v -= (done @ (done.conj().transpose(0, 2, 1) @ v[:, :, None]))[:, :, 0]
-        nv = np.linalg.norm(v, axis=1)
-        if np.any(active & (nv <= cut)):
-            raise NotHermitianError("eigenspace extraction failed (defective input?)")
-        v /= np.where(active, nv, np.inf)[:, None]  # groups already done get 0
-        pair = W[:, :, 2 * t:2 * t + 2]
-        pair[:, :, 0] = v
-        if t + 1 == K:
-            break
-        pair[:, :n, 1] = np.conj(v[:, n:])
-        pair[:, n:, 1] = -np.conj(v[:, :n])
-        X -= pair @ (pair.conj().transpose(0, 2, 1) @ X)
-        norms = np.linalg.norm(X, axis=1)
-    return W[:, :, 0::2]
-
-
 def herm_eig(H, tol=None):
     """Spectral data and congruence factor of a Hermitian quaternionic matrix.
 
     The eigenvalues of chi(H) come from one eigh, in near-exact duplicate
     pairs; consecutive ones closer than 1e-12 * (1 + max|eigenvalue|) form
     one group, and a group of 2k of them is one quaternionic eigenvalue of
-    multiplicity k.  The eigenvectors of all groups are orthonormalized over
-    the quaternions in one batch (_group_bases).
+    multiplicity k.  For a simple eigenvalue, the first eigenvector of its
+    pair is already psi of a unit quaternionic eigenvector; only the groups of
+    a repeated eigenvalue go through gram_schmidt_columns.
 
     Parameters
     ----------
@@ -860,9 +835,15 @@ def herm_eig(H, tol=None):
     sizes = np.diff(bounds)
     lam = np.add.reduceat(w, starts) / sizes
     mult = sizes // 2
-    basis = _group_bases(U, starts, sizes)
-    keep = np.arange(basis.shape[2]) < mult[:, None]
-    cols = basis.transpose(0, 2, 1)[keep].T      # (2n, n), group by group
+    cols = U[:, np.repeat(starts, mult)]         # psi columns, group by group
+    offsets = np.cumsum(mult) - mult
+    for g in np.flatnonzero(mult > 1):
+        k = mult[g]
+        basis, got = gram_schmidt_columns(
+            _columns_from_complex(U[:, starts[g]:starts[g] + 2 * k], n), rtol=1e-8)
+        if got < k:
+            raise NotHermitianError("eigenspace extraction failed (defective input?)")
+        cols[:, offsets[g]:offsets[g] + k] = np.concatenate([basis._a, -np.conj(basis._b)])[:, :k]
     lam_col = np.repeat(lam, mult)
     kind = np.where(lam_col > tol, 0, np.where(lam_col < -tol, 1, 2))
     # lam_col ascends group by group, and lexsort is stable

@@ -14,7 +14,8 @@ the number of its negative eigenvalues counts the negative squares.
 
 Completion is performed constructively: factor P = V eps V*, take the
 metric-orthogonal complement of [V* A; C], orthonormalize it in the
-indefinite metric, and rotate it onto a factorization of sigma.
+indefinite metric, and rotate it onto a factorization of sigma.  For a
+definite sigma the result is then brought to one canonical form.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .errors import (
 from .quat import Quaternion, sphere_of
 from .qmatrix import (
     QMatrix,
+    _column_echelon,
     _columns_from_complex,
     _schur_spheres,
     as_qmatrix,
@@ -208,6 +210,14 @@ def j_unitary_complete(A, C, sigma):
     finds B, D such that U = [[A, B], [C, D]] satisfies
     U* diag(P, sigma) U = diag(P, sigma) with P the Stein solution.
 
+    The completions are [B; D] Q over all Q with Q* sigma Q = sigma.  For a
+    definite sigma the one returned is canonical: [B; D] |sigma|^{-1/2} is in
+    pivoted column echelon form (_column_echelon), so it does not depend on
+    the eigenvectors of P or on the null basis that the computation passes
+    through; with one output, the largest entry of [B; D] is positive real.
+    For an indefinite sigma each column of the metric basis only has its
+    phase fixed (_phase_normalize_columns).
+
     Returns the full Realization (with sigma and P attached).
 
     Raises
@@ -246,12 +256,18 @@ def j_unitary_complete(A, C, sigma):
         raise BadSignatureError(
             "complement signature (%d, %d) does not match sigma's (%d, %d)"
             % (signs.count(1.0), signs.count(-1.0), t2, s2))
-    Y = _phase_normalize_columns(Y)
+    definite = not (t2 and s2)
+    if not definite:
+        Y = _phase_normalize_columns(Y)
     X = Y @ W.adjoint()
-    X1 = QMatrix(X._a[:n, :], X._b[:n, :])
-    X2 = QMatrix(X._a[n:, :], X._b[n:, :])
-    B = solve(V.adjoint(), X1)
-    return Realization(A, B, C, X2, sigma=sigma, P=P)
+    Z = vstack([solve(V.adjoint(), X[:n, :]), X[n:, :]])      # [B; D]
+    if definite:
+        w, U = np.linalg.eigh(sigma.complex_adjoint())
+        root = from_complex_adjoint((U * np.sqrt(np.abs(w))) @ U.conj().T)  # |sigma|^{1/2}
+        Z = _column_echelon(solve(root, Z.adjoint()).adjoint()) @ root
+    B = QMatrix(Z._a[:n, :], Z._b[:n, :])
+    D = QMatrix(Z._a[n:, :], Z._b[n:, :])
+    return Realization(A, B, C, D, sigma=sigma, P=P)
 
 
 def realization_series(R, degree):
@@ -331,14 +347,7 @@ def realization_sigma_I(A, C):
 
 
 def cascade(R1, R2):
-    """Realization of the star product S1 * S2 from realizations of the factors.
-
-    The state is (x1, x2).  When both factors carry P and one sigma, each is
-    taken to be unitary for diag(P_i, sigma), as every completion here is;
-    the energy balances of the two factors then add up, so the cascade is
-    unitary for diag(P1, P2, sigma) and diag(P1, P2) is its Stein solution,
-    which is attached.
-    """
+    """Realization of the star product S1 * S2 from realizations of the factors."""
     if R1.B.cols != R2.C.rows:
         raise ShapeError("inner dimensions of the cascade do not match")
     n1, n2 = R1.state_dim, R2.state_dim
@@ -346,11 +355,7 @@ def cascade(R1, R2):
     B = vstack([R1.B @ R2.D, R2.B])
     C = hstack([R1.C, R1.D @ R2.C])
     D = R1.D @ R2.D
-    P = None
-    if (R1.P is not None and R2.P is not None and R1.sigma is not None
-            and R2.sigma is not None and R1.sigma.allclose(R2.sigma)):
-        P = block([[R1.P, QMatrix.zeros(n1, n2)], [QMatrix.zeros(n2, n1), R2.P]])
-    return Realization(A, B, C, D, sigma=R1.sigma, P=P)
+    return Realization(A, B, C, D, sigma=R1.sigma)
 
 
 def blaschke_reciprocal_realization(b, c=None):

@@ -203,6 +203,21 @@ class SliceSeries:
         return cls([QMatrix.from_dict(c) for c in d["coefficients"]])
 
 
+def _section(blocks, mu):
+    """Block lower-triangular Toeplitz section [blocks[n - m]]_{n >= m; n, m <= mu}
+    of a stack of equal blocks, zero past the end of the stack.
+
+    With the blocks after mu zero blocks in Z, block (n, m) is Z[mu + n - m],
+    so the windows of reversed Z are the block rows, as a view; the reshape
+    gathers them in one copy.
+    """
+    k, p, q = blocks.shape
+    Z = np.zeros((2 * mu + 1, p, q), dtype=blocks.dtype)
+    Z[mu:mu + min(k, mu + 1)] = blocks[:mu + 1]
+    rows = sliding_window_view(Z[::-1], mu + 1, axis=0)[::-1]
+    return rows.transpose(0, 1, 3, 2).reshape((mu + 1) * p, (mu + 1) * q)
+
+
 def lower_toeplitz(f, mu):
     """Block lower-triangular Toeplitz section L = [f_{n-m}]_{n>=m, n,m<=mu}.
 
@@ -210,13 +225,7 @@ def lower_toeplitz(f, mu):
     vectors: stacking the first mu+1 coefficients of g into x, L(f) x stacks
     those of f * g.  Coefficients past the degree of f are zero.
     """
-    r, c = f.shape
-    z = f.truncate(mu).pad(mu + 1)  # coefficient mu + 1 is zero
-    idx = np.subtract.outer(np.arange(mu + 1), np.arange(mu + 1))
-    idx[idx < 0] = mu + 1
-    shape = ((mu + 1) * r, (mu + 1) * c)
-    return QMatrix(z._a[idx].transpose(0, 2, 1, 3).reshape(shape),
-                   z._b[idx].transpose(0, 2, 1, 3).reshape(shape), copy=False)
+    return QMatrix(_section(f._a, mu), _section(f._b, mu), copy=False)
 
 
 def star_mul(f, g):
@@ -286,14 +295,10 @@ def star_solve_left(f, g, rtol=1e-12):
     d = min(f.degree, g.degree)
     r, c = g.shape
     K = c0_inv.complex_adjoint()
-    # E[d + k] = chi(h_k) after d zero blocks, so block (n, m) of the section
-    # is E[d + n - m]; the windows of reversed E are its block rows, as a
-    # view, and the reshape gathers them in one copy
-    E = np.zeros((2 * d + 1, 2 * r, 2 * r), dtype=complex)
-    E[d] = np.eye(2 * r)
-    E[d + 1:] = K @ _chi_stack(f._a[1:d + 1], f._b[1:d + 1])
-    block_rows = sliding_window_view(E[::-1], d + 1, axis=0)[::-1]
-    L = block_rows.transpose(0, 1, 3, 2).reshape(2 * r * (d + 1), -1)
+    h = np.empty((d + 1, 2 * r, 2 * r), dtype=complex)  # chi(h_n)
+    h[0] = np.eye(2 * r)
+    h[1:] = K @ _chi_stack(f._a[1:d + 1], f._b[1:d + 1])
+    L = _section(h, d)
     rhs = K @ np.concatenate([g._a[:d + 1], -g._b[:d + 1].conj()], axis=1)
     x = solve_triangular(L, rhs.reshape(2 * r * (d + 1), c), lower=True, unit_diagonal=True,
                          check_finite=False)

@@ -9,7 +9,14 @@ import math
 import numpy as np
 
 from qschur import HermSpectrum, NotHermitianError, QMatrix, SliceSeries
-from qschur.qmatrix import _columns_from_complex, gram_schmidt_columns, hstack, inverse, vstack
+from qschur.qmatrix import (
+    _columns_from_complex,
+    gram_schmidt_columns,
+    hstack,
+    inverse,
+    solve,
+    vstack,
+)
 from qschur.series import lower_toeplitz
 
 
@@ -83,17 +90,30 @@ def herm_eig_by_groups(H, tol=None):
     return HermSpectrum(sorted(eigs), (len(plus), len(minus), len(zero))), V
 
 
-def projectors_by_eigenvalue(spec, V, tol=None):
-    """[(eigenvalue, V_l V_l*)] over the columns V_l of V that carry each
-    eigenvalue, in the column order of herm_eig: positive descending,
-    negative ascending, zero."""
+def projectors_by_cluster(spec, V, cluster, tol=None):
+    """[(eigenvalue, mask, P)] over the eigenvalues in the column order of
+    herm_eig (positive descending, negative ascending, zero): mask picks the
+    columns V_l of V that carry it, P = V_l (V_l* V_l)^{-1} V_l* projects onto
+    their span.
+
+    An eigenvalue within cluster of the one before it joins that entry:
+    eigenvalues a distance delta apart have eigenvectors fixed only to about
+    eps ||H|| / delta, while the span of all of them stays well determined.
+    """
     lam = np.array(spec.eigenvalues)
     if tol is None:
         tol = 1e-8 * float(np.max(np.abs(lam), initial=0.0))
     labels = np.concatenate([np.sort(lam[lam > tol])[::-1], np.sort(lam[lam < -tol]),
                              lam[np.abs(lam) <= tol]])
-    out = []
+    entries = []
     for l in dict.fromkeys(labels.tolist()):
-        Vl = QMatrix(V._a[:, labels == l], V._b[:, labels == l])
-        out.append((l, Vl @ Vl.adjoint()))
+        if entries and abs(l - last) <= cluster:
+            entries[-1][1] |= labels == l
+        else:
+            entries.append([l, labels == l])
+        last = l
+    out = []
+    for l, mask in entries:
+        Vl = QMatrix(V._a[:, mask], V._b[:, mask])
+        out.append((l, mask, Vl @ solve(Vl.adjoint() @ Vl, Vl.adjoint())))
     return out

@@ -36,8 +36,9 @@ from qschur import (
     sphere_of,
     star_mul,
     stein_solve,
+    vstack,
 )
-from qschur.qmatrix import from_complex_adjoint, inverse
+from qschur.qmatrix import from_complex_adjoint, herm_eig, inverse, null_basis
 from qschur.sampling import ball_point, matrix_with_spectrum, random_qmatrix, random_quaternion, rng
 from oracles import realization_series_by_degree
 
@@ -145,6 +146,41 @@ def test_completion_indefinite_sigma():
     R = j_unitary_complete(A, C, sigma)
     assert R.junitary_residual() < 1e-9
     assert R.sigma.allclose(sigma)
+
+
+@pytest.mark.parametrize("m, sigma_kind", [(1, "I"), (2, "I"), (3, "I"), (2, "positive"),
+                                           (2, "negative")])
+def test_completion_is_canonical_for_definite_sigma(monkeypatch, m, sigma_kind):
+    """With a definite sigma, [B; D] does not move when the choices made on
+    the way change: unit quaternion phases on the eigenvectors of P and of
+    sigma, and a mixing of the null basis.  The state matrix has one sphere
+    outside the ball, so P is indefinite."""
+    gen = rng(130 + 7 * m + len(sigma_kind))
+    pts = [Quaternion(r * np.cos(t), r * np.sin(t))
+           for r, t in zip([1.2, 0.7, 0.75, 0.8], np.linspace(0.3, 2.8, 4))]
+    A = matrix_with_spectrum(gen, pts)
+    C = random_qmatrix(gen, m, 4)
+    sigma = QMatrix.eye(m)
+    if sigma_kind != "I":
+        F = random_qmatrix(gen, m) + QMatrix.eye(m) * 2.0
+        sigma = F @ F.adjoint() * (1.0 if sigma_kind == "positive" else -1.0)
+    base = j_unitary_complete(A, C, sigma)
+
+    def phased_herm_eig(H, *args, **kw):
+        spec, V = herm_eig(H, *args, **kw)
+        units = [q * (1.0 / abs(q)) for q in (random_quaternion(gen) for _ in range(V.cols))]
+        return spec, V @ QMatrix.diag(units)
+
+    def mixed_null_basis(M, *args, **kw):
+        N = null_basis(M, *args, **kw)
+        return N @ (random_qmatrix(gen, N.cols) + QMatrix.eye(N.cols) * 2.0)
+
+    monkeypatch.setattr(realization_module, "herm_eig", phased_herm_eig)
+    monkeypatch.setattr(realization_module, "null_basis", mixed_null_basis)
+    moved = j_unitary_complete(A, C, sigma)
+    assert moved.junitary_residual() <= 1e-9 and base.junitary_residual() <= 1e-9
+    Z0, Z1 = vstack([base.B, base.D]), vstack([moved.B, moved.D])
+    assert (Z1 - Z0).norm() <= 1e-10 * (1.0 + Z0.norm())
 
 
 def test_completion_unobservable_raises():
@@ -260,20 +296,6 @@ def test_cascade_multiplies_series():
     want = star_mul(realization_series(R1, 12), realization_series(R2, 12))
     got = realization_series(R, 12)
     assert series_gap(got, want, 12) < 1e-12
-
-
-def test_cascade_carries_the_stein_solution_of_its_factors():
-    g = rng(89)
-    R1 = j_unitary_complete(random_qmatrix(g, 2, scale=0.3),
-                            QMatrix.from_entries([[random_quaternion(g), random_quaternion(g)]]),
-                            QMatrix.eye(1))
-    R2 = blaschke_reciprocal_realization(Quaternion(0.25, 0.4, 0.1))
-    R = cascade(R1, R2)
-    P, _ = stein_solve(R.A, R.C, R.sigma)
-    assert (R.P - P).norm() <= 1e-10 * (1.0 + P.norm())
-    assert R.stein_residual() <= 1e-10 and R.junitary_residual() <= 1e-10
-    R2.sigma = -R2.sigma
-    assert cascade(R1, R2).P is None
 
 
 @pytest.mark.parametrize("case", range(8))
