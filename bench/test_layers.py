@@ -14,7 +14,16 @@ import numpy as np
 import pytest
 
 import qschur.cli
-from qschur import QMatrix, Quaternion, Realization, herm_eig, star_inverse
+from qschur import (
+    QMatrix,
+    Quaternion,
+    Realization,
+    herm_eig,
+    j_unitary_complete,
+    signature_blocks,
+    star_inverse,
+    vstack,
+)
 from qschur.realization import realization_series
 from qschur.sampling import (
     matrix_with_spectrum,
@@ -72,6 +81,23 @@ def test_herm_eig(benchmark, n, spectrum):
         H = (H + H.adjoint()) * 0.5
     spec, V = benchmark(herm_eig, H)
     benchmark.extra_info["checksum"] = float(np.sum(spec.eigenvalues)) + V.norm()
+
+
+@pytest.mark.parametrize("n, m, sigma", [(n, m, "I") for n in (4, 12, 20) for m in (1, 2)]
+                         + [(12, 2, "indefinite")])
+def test_j_unitary_complete(benchmark, n, m, sigma):
+    """Completion of a pair with two spheres outside the unit ball, so that
+    P is indefinite.  The checksum is ||Z sigma Z*|| for Z = [B; D], which
+    every completion shares (they are Z Q with Q sigma Q* = sigma)."""
+    gen = rng(500 + n + m)
+    angles = (np.arange(n) + 0.5) * np.pi / n
+    mods = np.r_[1.15, 1.2, np.full(n - 2, 0.85)]
+    pts = [Quaternion(r * np.cos(t), r * np.sin(t)) for r, t in zip(mods, angles)]
+    A, C = matrix_with_spectrum(gen, pts), random_qmatrix(gen, m, n)
+    S = QMatrix.eye(m) if sigma == "I" else signature_blocks(1, 1, 0)
+    R = benchmark(j_unitary_complete, A, C, S)
+    Z = vstack([R.B, R.D])
+    benchmark.extra_info["checksum"] = (Z @ S @ Z.adjoint()).norm() + R.P.norm()
 
 
 def _cli(argv):

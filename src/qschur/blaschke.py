@@ -19,7 +19,6 @@ and evaluates partial products in closed form, not through the truncation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .errors import (

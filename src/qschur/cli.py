@@ -32,7 +32,7 @@ from .errors import QschurError, ShapeError
 from .quat import Quaternion, Sphere, UnitImaginary
 from .qmatrix import QMatrix, right_eigen_spheres
 from .series import SliceSeries, star_mul
-from .sresolvent import ContourSpec, resolvent_eq_residuals, s_resolvent_left
+from .sresolvent import resolvent_eq_residuals, s_resolvent_left
 from .kernels import neg_squares
 from .blaschke import DEFAULT_DEGREE, blaschke_product
 from .realization import (

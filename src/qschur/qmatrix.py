@@ -479,37 +479,40 @@ def _column_echelon(M, rtol=1e-10):
 def indefinite_gram_schmidt(M, J, neutral_tol=1e-10):
     """Orthonormalize columns under the indefinite metric [u, v] = v* J u.
 
-    Pivots on the largest |self inner product| at every step.  Returns
-    (Y, signs) with Y* J Y = diag(signs), positive columns first.
+    One Hermitian congruence of a Gram matrix: each column m_j is first
+    divided by sqrt(d_j), d_j = |m_j|^T |J| |m_j| with entrywise moduli,
+    which bounds the terms summed into [m_j, m_j].  herm_eig then gives
+    G = X diag(I, -I) X* for the Gram matrix G = M_s* J M_s of the scaled
+    columns M_s, so Y = M_s X^{-*} has Y* J Y = diag(signs) and spans the
+    column space of M.  Returns (Y, signs), positive columns first.
+
+    The neutrality test reads G, whose diagonal entries have modulus at
+    most 1, so it does not change when the columns of M, the metric J, or
+    the coordinates (a diagonal D with M -> D M, J -> D^{-1} J D^{-1}) are
+    rescaled.
 
     Raises
     ------
     CompletionFailureError
-        If the best remaining candidate is numerically neutral.
+        If G has an eigenvalue of modulus at most neutral_tol: a numerically
+        neutral direction, a zero column, or dependent columns.
     """
     M = as_qmatrix(M)
     J = as_qmatrix(J)
-    cols = [M.column(j) for j in range(M.cols)]
-    scale = max([c.norm() for c in cols], default=1.0)
-    chosen = []
-    signs = []
-    while cols:
-        ips = [((c.adjoint() @ (J @ c)).item().x0) for c in cols]
-        k = int(np.argmax(np.abs(ips)))
-        ip = ips[k]
-        if abs(ip) <= neutral_tol * (scale ** 2):
-            raise CompletionFailureError(
-                "neutral direction met in indefinite Gram-Schmidt "
-                "(|[v,v]| = %g)" % abs(ip))
-        v = cols.pop(k)
-        s = 1.0 if ip > 0 else -1.0
-        q = v * (1.0 / math.sqrt(abs(ip)))
-        chosen.append(q)
-        signs.append(s)
-        cols = [c - q * ((q.adjoint() @ (J @ c)).item() * s) for c in cols]
-    order = sorted(range(len(chosen)), key=lambda i: -signs[i])
-    Y = hstack([chosen[i] for i in order]) if chosen else QMatrix.zeros(M.rows, 0)
-    return Y, [signs[i] for i in order]
+    if M.cols == 0:
+        return M, []
+    absM = np.sqrt(np.abs(M._a) ** 2 + np.abs(M._b) ** 2)
+    absJ = np.sqrt(np.abs(J._a) ** 2 + np.abs(J._b) ** 2)
+    d = ((absJ @ absM) * absM).sum(axis=0)
+    d[d == 0.0] = 1.0                          # a zero column stays zero, and neutral
+    Ms = QMatrix(M._a / np.sqrt(d), M._b / np.sqrt(d), copy=False)
+    spec, X = herm_eig(Ms.adjoint() @ J @ Ms, tol=neutral_tol)
+    t, r, z = spec.signature
+    if z:
+        raise CompletionFailureError(
+            "neutral direction met in indefinite Gram-Schmidt (smallest |eigenvalue| "
+            "of the scaled Gram matrix is %g)" % min(abs(l) for l in spec.eigenvalues))
+    return solve_right(X.adjoint(), Ms), [1.0] * t + [-1.0] * r
 
 
 def null_basis(M, rtol=1e-10):
@@ -682,15 +685,13 @@ def _eigen_spheres(w, cluster_tol, R=None):
     return out
 
 
-def _schur_spheres(T, cluster_tol=1e-8, sort=None):
-    """(R, U, spheres): the complex Schur form chi(T) = U R U* and the
-    eigen-spheres of T with multiplicities, read off diag(R).
+def _schur(T, sort=None):
+    """(R, U): the complex Schur form chi(T) = U R U*.
 
-    The right spectrum of T is its point S-spectrum, the eigenvalues of
-    chi(T), so this one factorization serves every spectral decision.
-    sort="ouc" puts the eigenvalues outside the unit circle first, so that
-    the leading Schur vectors span their invariant subspace.  Raises
-    ShapeError for non-square T and NonFiniteInputError for NaN or inf.
+    This is the only Schur factorization in the library.  sort="ouc" puts
+    the eigenvalues outside the unit circle first, so that the leading Schur
+    vectors span their invariant subspace.  Raises ShapeError for non-square
+    T and NonFiniteInputError for NaN or inf.
     """
     T = as_qmatrix(T)
     if not T.is_square():
@@ -699,6 +700,17 @@ def _schur_spheres(T, cluster_tol=1e-8, sort=None):
     if not np.all(np.isfinite(chi)):
         raise NonFiniteInputError("matrix entries must be finite numbers")
     R, U = schur(chi, output="complex", sort=sort)[:2]
+    return R, U
+
+
+def _schur_spheres(T, cluster_tol=1e-8, sort=None):
+    """(R, U, spheres): the Schur form of _schur and the eigen-spheres of T
+    with multiplicities, read off diag(R).
+
+    The right spectrum of T is its point S-spectrum, the eigenvalues of
+    chi(T), so this one factorization serves every spectral decision.
+    """
+    R, U = _schur(T, sort)
     spheres = [(sphere, mult) for sphere, mult, _ in _eigen_spheres(np.diag(R), cluster_tol, R)]
     return R, U, spheres
 
@@ -789,13 +801,17 @@ def herm_eig(H, tol=None):
     one group, and a group of 2k of them is one quaternionic eigenvalue of
     multiplicity k.  For a simple eigenvalue, the first eigenvector of its
     pair is already psi of a unit quaternionic eigenvector; only the groups of
-    a repeated eigenvalue go through gram_schmidt_columns.
+    a repeated eigenvalue go through gram_schmidt_columns.  Eigenvectors of
+    eigenvalues a small gap apart are quaternion-orthogonal only to about
+    eps / gap, so the eigenvector matrix is replaced by its polar factor
+    (Higham, Functions of Matrices, 2008, ch. 8), from one SVD of its chi;
+    that keeps H = V sig V* to rounding at every eigenvalue gap.
 
     Parameters
     ----------
     H : QMatrix, Hermitian within 1e-10 * (1 + ||H||).
     tol : float, optional
-        Threshold below which |eigenvalue| counts as zero.  Defaults to
+        Threshold at or below which |eigenvalue| counts as zero.  Defaults to
         1e-8 * max|eigenvalue|.
 
     Returns
@@ -844,6 +860,9 @@ def herm_eig(H, tol=None):
         if got < k:
             raise NotHermitianError("eigenspace extraction failed (defective input?)")
         cols[:, offsets[g]:offsets[g] + k] = np.concatenate([basis._a, -np.conj(basis._b)])[:, :k]
+    # polar factor: the nearest unitary to the eigenvector matrix
+    u, _, vh = np.linalg.svd(_columns_from_complex(cols, n).complex_adjoint())
+    cols = (u @ vh)[:, :n]
     lam_col = np.repeat(lam, mult)
     kind = np.where(lam_col > tol, 0, np.where(lam_col < -tol, 1, 2))
     # lam_col ascends group by group, and lexsort is stable

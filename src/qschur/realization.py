@@ -12,16 +12,16 @@ which certifies the metric structure: when (B, D) complete the column
 diag(P, sigma), the kernel coefficients of S are carried by P alone, and
 the number of its negative eigenvalues counts the negative squares.
 
-Completion is performed constructively: factor P = V eps V*, take the
-metric-orthogonal complement of [V* A; C], orthonormalize it in the
-indefinite metric, and rotate it onto a factorization of sigma.  For a
-definite sigma the result is then brought to one canonical form.
+Completion is performed constructively in the state coordinates: [B; D]
+spans the diag(P, sigma)-orthogonal complement of [A; C], which one
+Hermitian congruence of its Gram matrix makes metric-orthonormal and a
+factorization of sigma carries onto sigma.  For a definite sigma the result
+is then brought to one canonical form.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -40,6 +40,7 @@ from .qmatrix import (
     QMatrix,
     _column_echelon,
     _columns_from_complex,
+    _schur,
     _schur_spheres,
     as_qmatrix,
     block,
@@ -155,7 +156,7 @@ def stein_solve(A, C, sigma, rtol=1e-10):
     A = as_qmatrix(A)
     C = as_qmatrix(C)
     sigma = as_qmatrix(sigma)
-    R, U, _ = _schur_spheres(A)
+    R, U = _schur(A)
     if C.cols != A.rows or sigma.shape != (C.rows, C.rows):
         raise ShapeError("Stein data: A %s, C %s and sigma %s do not fit together"
                          % (A.shape, C.shape, sigma.shape))
@@ -186,21 +187,18 @@ def stein_solve(A, C, sigma, rtol=1e-10):
 def _phase_normalize_columns(Y):
     """Fix the free right unit-quaternion phase of each column.
 
-    Each column is scaled on the right so its largest entry becomes positive
-    real.  Right scaling by a unit quaternion preserves indefinite-metric
-    orthonormality, so this only removes the arbitrariness of the numerical
-    null basis and makes completions reproducible (and the canonical scalar
-    cases exact).
+    Each column is scaled on the right by conj(lead) / |lead|, for lead its
+    first entry of largest modulus, so that entry becomes positive real; a
+    zero column is left alone.  Right scaling by a unit quaternion preserves
+    indefinite-metric orthonormality, so this only removes the arbitrariness
+    of the numerical null basis and makes completions reproducible (and the
+    canonical scalar cases exact).
     """
-    cols = []
-    for j in range(Y.cols):
-        v = Y.column(j)
-        entries = [v.entry(i, 0) for i in range(v.rows)]
-        lead = max(entries, key=abs)
-        if abs(lead) > 0.0:
-            v = v * (lead.conj() * (1.0 / abs(lead)))
-        cols.append(v)
-    return hstack(cols) if cols else Y
+    lead = (np.argmax(np.abs(Y._a) ** 2 + np.abs(Y._b) ** 2, axis=0), np.arange(Y.cols))
+    a, b = Y._a[lead], Y._b[lead]
+    mod = np.sqrt(np.abs(a) ** 2 + np.abs(b) ** 2)
+    mod[mod == 0.0] = 1.0                      # a zero column stays zero
+    return Y @ QMatrix(np.diag(np.conj(a) / mod), np.diag(-b / mod), copy=False)
 
 
 def j_unitary_complete(A, C, sigma):
@@ -208,22 +206,30 @@ def j_unitary_complete(A, C, sigma):
 
     Given A (n x n), C (m x n) and an invertible Hermitian sigma (m x m),
     finds B, D such that U = [[A, B], [C, D]] satisfies
-    U* diag(P, sigma) U = diag(P, sigma) with P the Stein solution.
+    U* H U = H for H = diag(P, sigma), with P the Stein solution.
 
-    The completions are [B; D] Q over all Q with Q* sigma Q = sigma.  For a
-    definite sigma the one returned is canonical: [B; D] |sigma|^{-1/2} is in
-    pivoted column echelon form (_column_echelon), so it does not depend on
-    the eigenvectors of P or on the null basis that the computation passes
-    through; with one output, the largest entry of [B; D] is positive real.
-    For an indefinite sigma each column of the metric basis only has its
-    phase fixed (_phase_normalize_columns).
+    [B; D] spans the kernel of [A* P, C* sigma], the H-orthogonal complement
+    of [A; C].  It has dimension m because [A; C]* H [A; C] = P is
+    invertible, and H has sigma's inertia on it.  indefinite_gram_schmidt
+    makes a basis Y of it H-orthonormal by one Hermitian congruence of its
+    m x m Gram matrix; Y Q for the Q with Q* diag(signs) Q = sigma is then a
+    completion, and the completions are [B; D] Q over all Q with
+    Q* sigma Q = sigma.  For a definite sigma the one returned is canonical:
+    [B; D] |sigma|^{-1/2} is in pivoted column echelon form (_column_echelon),
+    so it does not depend on the null basis or on the congruence factor the
+    computation passes through; with one output, the largest entry of [B; D]
+    is positive real.  For an indefinite sigma each column of Y only has its
+    phase fixed (_phase_normalize_columns) before Q = W* from
+    sigma = W diag(I, -I) W*.
 
     Returns the full Realization (with sigma and P attached).
 
     Raises
     ------
-    NotObservableError     if the Stein solution is singular
-    BadSignatureError      if the complement signature does not match sigma
+    NotObservableError     if the Stein solution is singular, or has an
+                           eigenvalue of modulus at most 1e-8 max|eigenvalue|
+    BadSignatureError      if sigma is singular, or the complement dimension
+                           or signature does not match sigma
     CompletionFailureError if a neutral direction blocks orthonormalization
     NotHermitianError      if sigma is not Hermitian
     """
@@ -236,35 +242,33 @@ def j_unitary_complete(A, C, sigma):
     P, invertible = stein_solve(A, C, sigma)
     if not invertible:
         raise NotObservableError("Stein solution is singular; pair not observable")
-    spec_P, V = herm_eig(P)
-    t1, s1, z1 = spec_P.signature
-    if z1:
-        raise NotObservableError("Stein solution has %d zero eigenvalues" % z1)
-    spec_s, W = herm_eig(sigma)
-    t2, s2, z2 = spec_s.signature
-    if z2:
+    lam = np.abs(np.linalg.eigvalsh(P.complex_adjoint()))
+    if lam.min() <= 1e-8 * lam.max():
+        raise NotObservableError("Stein solution has a zero eigenvalue (|eigenvalue| "
+                                 "ratio %g)" % (lam.min() / lam.max()))
+    w, U = np.linalg.eigh(sigma.complex_adjoint())
+    pairs = (w[0::2] + w[1::2]) / 2            # chi's eigenvalues come in duplicates
+    tol = 1e-8 * np.abs(w).max()
+    t, s = int(np.sum(pairs > tol)), int(np.sum(pairs < -tol))
+    if t + s < m:
         raise BadSignatureError("sigma is singular")
-    eps1 = QMatrix.diag([Quaternion(1.0)] * t1 + [Quaternion(-1.0)] * s1)
-    Hbig = block([[eps1, QMatrix.zeros(n, m)], [QMatrix.zeros(m, n), sigma]])
-    G = vstack([V.adjoint() @ A, C])
-    N = null_basis((G.adjoint() @ Hbig))
+    H = block([[P, QMatrix.zeros(n, m)], [QMatrix.zeros(m, n), sigma]])
+    N = null_basis(vstack([A, C]).adjoint() @ H)
     if N.cols != m:
         raise BadSignatureError(
             "metric complement has dimension %d, expected %d" % (N.cols, m))
-    Y, signs = indefinite_gram_schmidt(N, Hbig)
-    if signs.count(1.0) != t2 or signs.count(-1.0) != s2:
+    Y, signs = indefinite_gram_schmidt(N, H)
+    if signs.count(1.0) != t or signs.count(-1.0) != s:
         raise BadSignatureError(
             "complement signature (%d, %d) does not match sigma's (%d, %d)"
-            % (signs.count(1.0), signs.count(-1.0), t2, s2))
-    definite = not (t2 and s2)
-    if not definite:
-        Y = _phase_normalize_columns(Y)
-    X = Y @ W.adjoint()
-    Z = vstack([solve(V.adjoint(), X[:n, :]), X[n:, :]])      # [B; D]
-    if definite:
-        w, U = np.linalg.eigh(sigma.complex_adjoint())
+            % (signs.count(1.0), signs.count(-1.0), t, s))
+    if t and s:
+        _, W = herm_eig(sigma)
+        Z = _phase_normalize_columns(Y) @ W.adjoint()
+    else:
+        # Y W* |sigma|^{-1/2} is Y times a unitary, which the echelon form ignores
         root = from_complex_adjoint((U * np.sqrt(np.abs(w))) @ U.conj().T)  # |sigma|^{1/2}
-        Z = _column_echelon(solve(root, Z.adjoint()).adjoint()) @ root
+        Z = _column_echelon(Y) @ root
     B = QMatrix(Z._a[:n, :], Z._b[:n, :])
     D = QMatrix(Z._a[n:, :], Z._b[n:, :])
     return Realization(A, B, C, D, sigma=sigma, P=P)

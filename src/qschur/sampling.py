@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .quat import Quaternion, UnitImaginary
-from .qmatrix import QMatrix, gram_schmidt_columns, hstack
+from .qmatrix import QMatrix, gram_schmidt_columns
 from .series import SliceSeries
 
 

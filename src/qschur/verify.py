@@ -11,10 +11,9 @@ import math
 from dataclasses import dataclass
 
 from .quat import QI, QJ, QK, Quaternion, UnitImaginary, slice_decompose, sphere_of
-from .qmatrix import QMatrix, herm_eig, right_eigen_spheres
+from .qmatrix import QMatrix, right_eigen_spheres
 from .series import (
     SliceSeries,
-    star_inverse,
     star_mul,
     star_resolvent,
     star_resolvent_eval,
@@ -37,7 +36,6 @@ from .blaschke import (
     tail_bound,
 )
 from .realization import (
-    Realization,
     blaschke_reciprocal_realization,
     cascade,
     j_unitary_complete,

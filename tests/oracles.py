@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from qschur import HermSpectrum, NotHermitianError, QMatrix, SliceSeries
+from qschur import CompletionFailureError, HermSpectrum, NotHermitianError, QMatrix, SliceSeries
 from qschur.qmatrix import (
     _columns_from_complex,
     gram_schmidt_columns,
@@ -88,6 +88,47 @@ def herm_eig_by_groups(H, tol=None):
     minus.sort(key=lambda t: t[0])
     V = hstack([c for _, c in plus] + [c for _, c in minus] + [c for _, c in zero])
     return HermSpectrum(sorted(eigs), (len(plus), len(minus), len(zero))), V
+
+
+def indefinite_gram_schmidt_loop(M, J, neutral_tol=1e-10):
+    """indefinite_gram_schmidt by pivoted Gram-Schmidt, one QMatrix per
+    column: each step takes the remaining column of largest |[v, v]|,
+    normalizes it and projects it out of the others."""
+    cols = [M.column(j) for j in range(M.cols)]
+    scale = max([c.norm() for c in cols], default=1.0)
+    chosen = []
+    signs = []
+    while cols:
+        ips = [((c.adjoint() @ (J @ c)).item().x0) for c in cols]
+        k = int(np.argmax(np.abs(ips)))
+        ip = ips[k]
+        if abs(ip) <= neutral_tol * (scale ** 2):
+            raise CompletionFailureError(
+                "neutral direction met in indefinite Gram-Schmidt "
+                "(|[v,v]| = %g)" % abs(ip))
+        v = cols.pop(k)
+        s = 1.0 if ip > 0 else -1.0
+        q = v * (1.0 / math.sqrt(abs(ip)))
+        chosen.append(q)
+        signs.append(s)
+        cols = [c - q * ((q.adjoint() @ (J @ c)).item() * s) for c in cols]
+    order = sorted(range(len(chosen)), key=lambda i: -signs[i])
+    Y = hstack([chosen[i] for i in order]) if chosen else QMatrix.zeros(M.rows, 0)
+    return Y, [signs[i] for i in order]
+
+
+def phase_normalize_columns_loop(Y):
+    """_phase_normalize_columns one entry at a time: each column times
+    conj(lead) / |lead| for its first entry of largest modulus."""
+    cols = []
+    for j in range(Y.cols):
+        v = Y.column(j)
+        entries = [v.entry(i, 0) for i in range(v.rows)]
+        lead = max(entries, key=abs)
+        if abs(lead) > 0.0:
+            v = v * (lead.conj() * (1.0 / abs(lead)))
+        cols.append(v)
+    return hstack(cols) if cols else Y
 
 
 def projectors_by_cluster(spec, V, cluster, tol=None):

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 from conftest import PROPERTY, jordan_matrix
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from qschur import (
+    CompletionFailureError,
     ContourSpec,
     QMatrix,
     Quaternion,
@@ -51,7 +52,7 @@ from qschur import (
     vstack,
 )
 from qschur.qmatrix import _eigenvalue_conds
-from oracles import herm_eig_by_groups, projectors_by_cluster
+from oracles import herm_eig_by_groups, indefinite_gram_schmidt_loop, projectors_by_cluster
 from qschur.sampling import (
     matrix_with_spectrum,
     random_hermitian,
@@ -500,6 +501,71 @@ def test_indefinite_gram_schmidt():
     assert sorted(signs, reverse=True) == [1, 1, -1]
     W = Y.adjoint() @ J @ Y
     assert (W - QMatrix.diag([Quaternion(float(s)) for s in signs])).norm() < 1e-9
+    Y, signs = indefinite_gram_schmidt(QMatrix.zeros(3, 0), J)
+    assert Y.shape == (3, 0) and signs == []
+
+
+def test_indefinite_gram_schmidt_ignores_scale():
+    """Rescaling the columns, the metric or the coordinates leaves the signs
+    and the column space alone, with Gram entries far below 1e-10."""
+    g = rng(34)
+    J = signature_blocks(2, 1, 0)
+    M = random_qmatrix(g, 3)
+    Y, signs = indefinite_gram_schmidt(M, J)
+    D = QMatrix.diag([1e-4, 1e-5, 1e-3])
+    for M2, J2 in [(M * 1e-6, J), (M, J * 1e-12), (D @ M, inverse(D) @ J @ inverse(D))]:
+        Y2, signs2 = indefinite_gram_schmidt(M2, J2)
+        assert signs2 == signs
+        gram = Y2.adjoint() @ J2 @ Y2 - QMatrix.diag([Quaternion(s) for s in signs])
+        assert gram.norm() <= 1e-12
+    Y2, _ = indefinite_gram_schmidt(M * 1e-6, J)
+    assert (_column_projector(Y2) - _column_projector(Y)).norm() <= 1e-10
+
+
+def _column_projector(Y):
+    return Y @ solve(Y.adjoint() @ Y, Y.adjoint())
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2 ** 32 - 1), t=st.integers(1, 4), r=st.integers(0, 3),
+       kind=st.sampled_from(["generic", "dependent", "neutral"]))
+def test_indefinite_gram_schmidt_matches_loop(seed, t, r, kind):
+    """The congruence against pivoted Gram-Schmidt, under J = signature_blocks
+    with its diagonal scrambled.  Generic columns give the same signs and
+    column space; dependent columns, or a neutral direction J-orthogonal to
+    the others (hidden by a random mixing of the columns), raise on both
+    sides."""
+    assume(kind != "neutral" or r > 0)
+    gen = rng(seed)
+    n = t + r
+    perm = QMatrix.from_real(np.eye(n)[gen.permutation(n)])
+    J = perm @ signature_blocks(t, r, 0) @ perm.adjoint()
+    k = int(gen.integers(1, n + 1))
+    M = random_qmatrix(gen, n, k)
+    if kind == "dependent":
+        M = hstack([M, M @ random_qmatrix(gen, k, 1)])
+    elif kind == "neutral":
+        d = np.diag(J._a).real
+        i, j = int(np.flatnonzero(d > 0)[0]), int(np.flatnonzero(d < 0)[0])
+        keep = np.ones((n, 1))
+        keep[[i, j]] = 0.0
+        v = np.zeros((n, 1))
+        v[[i, j]] = 1.0
+        M = QMatrix(M._a[:, :-1] * keep, M._b[:, :-1] * keep)
+        M = hstack([M, QMatrix.from_real(v)]) @ (random_qmatrix(gen, k) + QMatrix.eye(k) * 3.0)
+    if kind != "generic":
+        with pytest.raises(CompletionFailureError):
+            indefinite_gram_schmidt(M, J)
+        with pytest.raises(CompletionFailureError):
+            indefinite_gram_schmidt_loop(M, J)
+        return
+    Y, signs = indefinite_gram_schmidt(M, J)
+    W, want = indefinite_gram_schmidt_loop(M, J)
+    assert signs == want
+    assert (_column_projector(Y) - _column_projector(W)).norm() <= 1e-10
+    scale = max(M.column(c).norm() for c in range(k))
+    gram = Y.adjoint() @ J @ Y - QMatrix.diag([Quaternion(s) for s in signs])
+    assert gram.norm() <= 1e-12 * (1.0 + scale ** 2)
 
 
 def test_signature_blocks():
@@ -595,6 +661,23 @@ def test_herm_eig_matches_group_loop(seed, n, spread, blocks):
     G = V.adjoint() @ V - W.adjoint() @ W
     gap = np.where(inside, 0.0, np.abs(G._a) ** 2 + np.abs(G._b) ** 2)
     assert np.sqrt(gap.sum()) <= 1e-12 * (1 + H.norm())
+
+
+@pytest.mark.parametrize("gap", [1e-11, 1e-10, 1e-9, 1e-7])
+def test_herm_eig_contract_at_small_eigenvalue_gaps(gap):
+    """H = V sig V* when eigenvalues lie just past the grouping gap: four
+    eigenvalues within about gap of -2 are kept apart, and their
+    eigenvectors are quaternion-orthogonal only to about eps / gap until
+    the polar factor replaces them."""
+    for seed in range(80, 100):
+        gen = rng(seed)
+        lam = np.r_[-2.0 + gap * gen.normal(size=4), 0.7, 0.7, 1.5]
+        U = random_unitary(gen, 7)
+        H = U @ QMatrix.diag([Quaternion(x) for x in lam]) @ U.adjoint()
+        H = (H + H.adjoint()) * 0.5
+        spec, V = herm_eig(H)
+        assert spec.signature == (3, 4, 0)
+        assert congruence_defect(H, spec, V) <= 1e-12 * (1.0 + H.norm())
 
 
 def test_sylvester_inertia_invariance():

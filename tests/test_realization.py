@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from conftest import jordan_matrix
 
+import qschur.qmatrix as qmatrix_module
 import qschur.realization as realization_module
 from qschur import (
     BadSignatureError,
     ContourSpec,
+    NonFiniteInputError,
     NotObservableError,
     QMatrix,
     Quaternion,
@@ -18,6 +21,7 @@ from qschur import (
     SliceSeries,
     SpectrumOnUnitSphereError,
     SteinSingularError,
+    block,
     blaschke_point,
     blaschke_reciprocal,
     blaschke_reciprocal_realization,
@@ -39,8 +43,15 @@ from qschur import (
     vstack,
 )
 from qschur.qmatrix import from_complex_adjoint, herm_eig, inverse, null_basis
-from qschur.sampling import ball_point, matrix_with_spectrum, random_qmatrix, random_quaternion, rng
-from oracles import realization_series_by_degree
+from qschur.sampling import (
+    ball_point,
+    matrix_with_spectrum,
+    random_qmatrix,
+    random_quaternion,
+    random_unitary,
+    rng,
+)
+from oracles import phase_normalize_columns_loop, realization_series_by_degree
 
 
 def series_gap(f, g, degree):
@@ -123,6 +134,18 @@ def test_completion_scalar_amplified():
     assert abs(R.D.item()) < 1e-12
 
 
+@pytest.mark.parametrize("a", [400.0, 2000.0])
+def test_completion_large_outside_eigenvalue(a):
+    """A = a, C = 1, sigma = 1: P = -1/(a^2 - 1) and [B; D] = [a^2 - 1; a]
+    by hand.  In the state coordinates the Gram matrix of the complement is
+    1/(a^2 - 1)^2, far below its terms of size 1/a^2, and the completion
+    must not take it for a neutral direction."""
+    R = j_unitary_complete(QMatrix.scalar(a), QMatrix.eye(1), QMatrix.eye(1))
+    assert abs(R.P.item().real + 1.0 / (a * a - 1.0)) <= 1e-12 / (a * a)
+    assert abs(R.B.item() - Quaternion(a * a - 1.0)) <= 1e-9 * a * a
+    assert abs(R.D.item() - Quaternion(a)) <= 1e-9 * a
+
+
 def test_completion_random_quaternionic():
     g = rng(81)
     A = random_qmatrix(g, 2, scale=0.35)
@@ -152,9 +175,9 @@ def test_completion_indefinite_sigma():
                                            (2, "negative")])
 def test_completion_is_canonical_for_definite_sigma(monkeypatch, m, sigma_kind):
     """With a definite sigma, [B; D] does not move when the choices made on
-    the way change: unit quaternion phases on the eigenvectors of P and of
-    sigma, and a mixing of the null basis.  The state matrix has one sphere
-    outside the ball, so P is indefinite."""
+    the way change: unit quaternion phases on the eigenvectors of sigma and
+    of the Gram matrix of the congruence, and a mixing of the null basis.
+    The state matrix has one sphere outside the ball, so P is indefinite."""
     gen = rng(130 + 7 * m + len(sigma_kind))
     pts = [Quaternion(r * np.cos(t), r * np.sin(t))
            for r, t in zip([1.2, 0.7, 0.75, 0.8], np.linspace(0.3, 2.8, 4))]
@@ -176,11 +199,65 @@ def test_completion_is_canonical_for_definite_sigma(monkeypatch, m, sigma_kind):
         return N @ (random_qmatrix(gen, N.cols) + QMatrix.eye(N.cols) * 2.0)
 
     monkeypatch.setattr(realization_module, "herm_eig", phased_herm_eig)
+    monkeypatch.setattr(qmatrix_module, "herm_eig", phased_herm_eig)
     monkeypatch.setattr(realization_module, "null_basis", mixed_null_basis)
     moved = j_unitary_complete(A, C, sigma)
     assert moved.junitary_residual() <= 1e-9 and base.junitary_residual() <= 1e-9
     Z0, Z1 = vstack([base.B, base.D]), vstack([moved.B, moved.D])
     assert (Z1 - Z0).norm() <= 1e-10 * (1.0 + Z0.norm())
+
+
+def near_degenerate_pair(gen, p_eigs, s_eigs):
+    """(A, C, sigma) with Stein solution P of eigenvalues p_eigs and sigma of
+    eigenvalues s_eigs, both under random unitaries.
+
+    With V and W those factors scaled by sqrt|eigenvalue|, T = diag(V, W)
+    and J0 the signs, K = expm(J0 X) for a skew-Hermitian X is J0-unitary,
+    so U = T^{-*} K T* is diag(P, sigma)-unitary and its first block column
+    is [A; C]."""
+    n, m = len(p_eigs), len(s_eigs)
+
+    def factor(eigs):
+        return random_unitary(gen, len(eigs)) @ QMatrix.diag(np.sqrt(np.abs(eigs)).tolist())
+
+    V, W = factor(p_eigs), factor(s_eigs)
+    J0 = QMatrix.diag(np.sign(np.r_[p_eigs, s_eigs]).tolist())
+    X = random_qmatrix(gen, n + m, scale=0.2)
+    K = from_complex_adjoint(scipy.linalg.expm((J0 @ (X - X.adjoint())).complex_adjoint()))
+    T = block([[V, QMatrix.zeros(n, m)], [QMatrix.zeros(m, n), W]])
+    U = inverse(T.adjoint()) @ K @ T.adjoint()
+    sigma = W @ QMatrix.diag(np.sign(s_eigs).tolist()) @ W.adjoint()
+    return U[0:n, 0:n], U[n:n + m, 0:n], (sigma + sigma.adjoint()) * 0.5
+
+
+@pytest.mark.parametrize("s_kind", ["one", "positive", "indefinite", "negative"])
+@pytest.mark.parametrize("gap", [1e-11, 1e-10, 1e-9, 1e-7])
+def test_completion_with_near_degenerate_P_and_sigma(gap, s_kind):
+    """P has two pairs of eigenvalues gap apart, and sigma one pair when it
+    has two outputs: the completion stays J-unitary to rounding."""
+    s_eigs = {"one": [1.0], "positive": [1.0, 1.0 + gap], "indefinite": [1.0, -1.0 - gap],
+              "negative": [-1.0, -1.0 + gap]}[s_kind]
+    for seed in range(5):
+        gen = rng(140 + seed)
+        A, C, sigma = near_degenerate_pair(gen, [-2.0, -2.0 + gap, 0.7, 0.7 + gap, 1.5], s_eigs)
+        R = j_unitary_complete(A, C, sigma)
+        assert R.junitary_residual() <= 1e-12 * (1.0 + R.P.norm())
+
+
+def test_phase_normalize_columns_matches_entry_loop():
+    """The array form against one Quaternion per entry, with a zero column and
+    a column whose largest entry appears twice (the first one is the lead)."""
+    gen = rng(141)
+    Y = random_qmatrix(gen, 5, 4)
+    a, b = Y._a.copy(), Y._b.copy()
+    a[:, 1] = b[:, 1] = 0.0
+    a[[1, 4], 2], b[[1, 4], 2] = 10.0 + 2.0j, 1.0 - 3.0j
+    Y = QMatrix(a, b)
+    got = realization_module._phase_normalize_columns(Y)
+    want = phase_normalize_columns_loop(Y)
+    assert (got - want).norm() <= 1e-15 * Y.norm()
+    assert got.column(1).norm() == 0.0
+    assert got.entry(1, 2).is_real() and got.entry(1, 2).real > 0.0
 
 
 def test_completion_unobservable_raises():
@@ -404,6 +481,22 @@ def test_factor_degree_two_roundtrip():
     assert neg_squares(f.schur_series.truncate(12), mu_max=8).kappa == 0
 
 
+def test_factor_outside_eigenvalue_far_from_the_ball():
+    """An outside eigenvalue 400j beside an inside state: the outside
+    restriction is completed although its Gram matrix is about 4e-11."""
+    A = QMatrix.diag([Quaternion(0.0, 400.0), Quaternion(0.3)])
+    R = Realization(A, QMatrix.from_entries([[1.0], [0.5]]), QMatrix.from_entries([[1.0, 1.0]]),
+                    QMatrix.scalar(0.2), sigma=QMatrix.eye(1))
+    f = krein_langer_factor(R, degree=8)
+    assert f.kappa == 1
+    [(sphere, mult)] = f.zero_spheres
+    assert mult == 1 and sphere.isclose(sphere_of(Quaternion(0.0, 1.0 / 400.0)), tol=1e-12)
+    S = realization_series(R, 8)
+    recon = star_mul(f.w_series, f.schur_series)
+    for n in range(9):
+        assert (recon.coeff(n) - S.coeff(n)).norm() <= 1e-8 * (1.0 + S.coeff(n).norm())
+
+
 def test_factor_schur_input_passes_through():
     """No outside spectrum: kappa = 0 and S0 is S itself."""
     R = realization_sigma_I(QMatrix.scalar(0.5), QMatrix.scalar(1.0))
@@ -534,3 +627,7 @@ def test_stein_solve_checks_shapes():
         stein_solve(A, QMatrix.eye(2), QMatrix.eye(3))
     with pytest.raises(ShapeError):
         stein_solve(QMatrix.zeros(2, 3), QMatrix.eye(3), QMatrix.eye(3))
+    bad = np.eye(2) * 0.5
+    bad[0, 1] = np.nan
+    with pytest.raises(NonFiniteInputError):
+        stein_solve(QMatrix(bad, 0 * bad), QMatrix.eye(2), QMatrix.eye(2))
