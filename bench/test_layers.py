@@ -1,4 +1,5 @@
-"""Fixed-seed size sweeps of the layers under `realize` -> `kl-factor`.
+"""Fixed-seed size sweeps of the layers under `realize` -> `kl-factor` and
+of the Riesz projector.
 
 Each case records in extra_info["checksum"] a float summary of its output,
 so that two checkouts can be shown to compute the same thing; it is
@@ -32,6 +33,7 @@ from qschur.sampling import (
     random_unitary,
     rng,
 )
+from qschur.sresolvent import ContourSpec, riesz_projector
 
 
 def _norms(series):
@@ -129,3 +131,18 @@ def test_realize_kl_factor(benchmark, tmp_path, n):
     P = QMatrix.from_dict(json.loads(real.read_text())["P"])
     benchmark.extra_info["checksum"] = (kl["kappa"] + P.norm()
                                         + sum(s["re"] + s["im"] for s in kl["zero_spheres"]))
+
+
+@pytest.mark.parametrize("nodes", [16, 64, 256])
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_riesz_projector(benchmark, n, nodes):
+    """Projector of the unit circle for a matrix with half its spheres inside
+    (moduli 0.1 to 0.7) and half outside (1.3 to 2), as in the `spectral`
+    workload.  The checksum is ||P||."""
+    gen = rng(600 + n)
+    mods = np.r_[gen.uniform(0.1, 0.7, n // 2), gen.uniform(1.3, 2.0, n - n // 2)]
+    angles = gen.uniform(0.0, np.pi, n)
+    T = matrix_with_spectrum(gen, [Quaternion(m * np.cos(t), m * np.sin(t))
+                                   for m, t in zip(mods, angles)])
+    P = benchmark(riesz_projector, T, ContourSpec(0.0, 1.0, nodes))
+    benchmark.extra_info["checksum"] = P.norm()

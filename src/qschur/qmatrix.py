@@ -797,8 +797,9 @@ def herm_eig(H, tol=None):
     """Spectral data and congruence factor of a Hermitian quaternionic matrix.
 
     The eigenvalues of chi(H) come from one eigh, in near-exact duplicate
-    pairs; consecutive ones closer than 1e-12 * (1 + max|eigenvalue|) form
-    one group, and a group of 2k of them is one quaternionic eigenvalue of
+    pairs; the pairs, in ascending order, are cut into groups none of which
+    spans more than 1e-12 * (1 + max|eigenvalue|) from its first pair (as
+    _runs cuts), and a group of k pairs is one quaternionic eigenvalue of
     multiplicity k.  For a simple eigenvalue, the first eigenvector of its
     pair is already psi of a unit quaternionic eigenvector; only the groups of
     a repeated eigenvalue go through gram_schmidt_columns.  Eigenvectors of
@@ -830,27 +831,26 @@ def herm_eig(H, tol=None):
     if H.herm_defect() > 1e-10 * (1.0 + H.norm()):
         raise NotHermitianError("matrix is not Hermitian (defect %g)" % H.herm_defect())
     n = H.rows
+    if n == 0:
+        return HermSpectrum([], (0, 0, 0)), QMatrix.zeros(0, 0)
     w, U = np.linalg.eigh(H.complex_adjoint())
     scale = float(np.max(np.abs(w)))
     if tol is None:
         tol = 1e-8 * scale
-    # consecutive grouping: chi eigenvalues occur in near-exact duplicates
+    # chi eigenvalues occur in near-exact duplicates, adjacent once sorted:
+    # one key per pair, cut as _runs cuts, so that a group starting at pair k
+    # ends before the first pair more than gap past pair k
     gap = 1e-12 * (1.0 + scale)
-    bounds = [0] + (np.flatnonzero(np.diff(w) > gap) + 1).tolist() + [2 * n]
-    # every quaternionic eigenvalue shows up twice, so odd groups mean the
-    # gap split a duplicate pair: merge such a group with its closer neighbour
-    while True:
-        odd = [i for i in range(len(bounds) - 1) if (bounds[i + 1] - bounds[i]) % 2]
-        if not odd:
-            break
-        i = odd[0]
-        right = w[bounds[i + 1]] - w[bounds[i + 1] - 1] if i + 2 < len(bounds) else np.inf
-        left = w[bounds[i]] - w[bounds[i] - 1] if i > 0 else np.inf
-        del bounds[i + 1 if right <= left else i]
-    starts = np.array(bounds[:-1])
-    sizes = np.diff(bounds)
-    lam = np.add.reduceat(w, starts) / sizes
-    mult = sizes // 2
+    pair = (w[0::2] + w[1::2]) / 2
+    ends = np.searchsorted(pair, pair + gap, side="right").tolist()
+    first, k = [], 0
+    while k < n:
+        first.append(k)
+        k = ends[k]
+    first = np.array(first)
+    mult = np.diff(np.r_[first, n])
+    lam = np.add.reduceat(pair, first) / mult
+    starts = 2 * first
     cols = U[:, np.repeat(starts, mult)]         # psi columns, group by group
     offsets = np.cumsum(mult) - mult
     for g in np.flatnonzero(mult > 1):

@@ -11,17 +11,27 @@ is invertible, and the two resolvents are
     right:  -(T - conj(s) I) Q_s(T)^{-1}.
 
 Projectors onto the spectral part enclosed by a circle with *real* center
-(so that whole spheres are either inside or outside) are computed with the
+(so that whole spheres are either inside or outside) are given by the
 periodic trapezoid rule, exponentially convergent for these analytic
-integrands.  Nodes s_k = c + r exp(I th_k) and s_{N-k} are conjugate and share
-Q_k = Q_{s_k}(T); their two terms sum to 2 Q_k^{-1} (alpha_k I - beta_k T)
-with real alpha_k, beta_k, so the slice I drops out of the N-node rule.
+integrands.  Nodes s_k = c + r exp(I th_k) and s_{N-k} are conjugate and
+share Q_{s_k}(T), so the N-node rule is a real-rational function of T and
+the slice I drops out of it.
 
-The rule runs on one complex Schur form chi(T) = U R U*.  Every Q_k(R) is
-upper triangular, so the sum is U (S_alpha - S_beta R) U* with
-S_alpha = sum_k w_k alpha_k Q_k(R)^{-1} and S_beta likewise: N/2 + 1
-triangular inversions.  The right spectrum of T is its point S-spectrum, the
-eigenvalues of chi(T), so the eigen-spheres are read off diag(R) too.
+That function has a closed form.  With W = (chi(T) - cI)/r and
+omega = exp(2 pi i/N), the identity sum_k 1/(1 - z omega^-k) = N/(1 - z^N)
+gives
+
+    (1/N) sum_k omega^k (omega^k I - W)^{-1} = (I - W^N)^{-1} =: P_N,
+
+and the rule for f(s) = s is chi(T) P_N, for every N >= 2 (Trefethen and
+Weideman, SIAM Rev. 56, 2014).  P_N is evaluated on one complex Schur form
+chi(T) = U R U*, reordered so that the eigenvalues inside the circle come
+first; on that block split W^N stays bounded in both diagonal blocks, and the
+off-diagonal block solves one triangular Sylvester equation (the block
+Parlett recurrence, Higham, Functions of Matrices, 2008, sec. 9.1).  Binary
+powering makes the cost O(log N) triangular products.  The right spectrum of
+T is its point S-spectrum, the eigenvalues of chi(T), so the eigen-spheres
+are read off diag(R) too.
 """
 
 from __future__ import annotations
@@ -30,7 +40,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import ztrtri
+from scipy.linalg.lapack import ztrsen, ztrsyl, ztrtri
 
 from .errors import (
     ContourOnSpectrumError,
@@ -90,7 +100,12 @@ class ContourSpec:
     """Circle with a real center traversed in a single slice plane.
 
     nodes must be even and at least 16; the default is plenty for spectra
-    separated from the contour by a modest margin.
+    separated from the contour by a modest margin.  nodes still selects the
+    trapezoid rule, and so its error, which decays like rho^nodes for rho the
+    largest of |lambda - c| / r over the eigenvalues lambda inside and
+    r / |lambda - c| over those outside; but the rule is evaluated in closed
+    form with O(log nodes) triangular products, so nodes no longer scales its
+    cost.
     """
 
     center: float
@@ -121,64 +136,89 @@ class ContourSpec:
         return self.offset(sphere) < -band
 
 
-def _contour_sum(R, U, spheres, spec, power):
-    """(r/N) sum_k S_L^{-1}(s_k, T) e_k s_k^power on the Schur form of chi(T),
-    nodes paired as in the module docstring (0 and N/2 are real); the spheres
-    of T must clear the contour."""
+def _power(M, N):
+    """M^N for N >= 1 by binary powering: floor(log2 N) squarings and
+    popcount(N) - 1 further products."""
+    out = None
+    while True:
+        if N & 1:
+            out = M if out is None else out @ M
+        N >>= 1
+        if not N:
+            return out
+        M = M @ M
+
+
+def _inv_triangular(M, what):
+    M_inv, info = ztrtri(M)
+    if info > 0:
+        raise ContourOnSpectrumError(
+            "a contour node lies on the spectrum (%s singular)" % what)
+    return M_inv
+
+
+def _contour_sum(R, U, spheres, spec):
+    """(R, U, F): the Schur form chi(T) = U R U* reordered so that the
+    eigenvalues inside the contour come first, and F = (I - W^N)^{-1} with
+    W = (R - cI)/r, the N-node rule of the projector (module docstring).
+
+    The spheres of T must clear the contour; that band check makes the
+    inside/outside split of diag(R) unambiguous.  With the split W = [[W11,
+    W12], [0, W22]], F11 = (I - W11^N)^{-1}, F22 = -V^N (I - V^N)^{-1} for
+    V = W22^{-1}, and F12 solves W11 F12 - F12 W22 = F11 W12 - W12 F22, since
+    F commutes with W.
+    """
     band = 1e-6 * spec.radius
     for sphere, _ in spheres:
         if abs(spec.offset(sphere)) <= band:
             raise ContourOnSpectrumError(
                 "contour passes within %g of the spectral sphere %s" % (band, sphere))
-    if R.size == 0:  # LAPACK rejects an empty triangular inversion
-        return QMatrix.zeros(0)
-    # Fortran order, so that Q_k(R) reaches LAPACK without a copy
-    R2, diag = np.asfortranarray(R @ R), np.diag_indices(len(R))
-    s_alpha, s_beta = np.zeros_like(R), np.zeros_like(R)
     c, r, nodes = spec.center, spec.radius, spec.nodes
-    for k in range(nodes // 2 + 1):
-        th = 2.0 * math.pi * k / nodes
-        cos = math.cos(th)
-        mod2 = c * c + 2.0 * c * r * cos + r * r
-        if power == 0:
-            alpha, beta = c * cos + r, cos
-        else:
-            alpha, beta = mod2 * cos, c * cos + r * math.cos(2.0 * th)
-        weight = 1.0 if k in (0, nodes // 2) else 2.0
-        Q = R2 - (2.0 * (c + r * cos)) * R  # Q_k(R), upper triangular
-        Q[diag] += mod2
-        Q_inv, info = ztrtri(Q, overwrite_c=1)
-        if info > 0:
-            raise ContourOnSpectrumError(
-                "contour node %d lies on the spectrum (Q_k(R) singular)" % k)
-        s_alpha += (weight * alpha) * Q_inv
-        s_beta += (weight * beta) * Q_inv
-    acc = U @ (s_alpha - s_beta @ R) @ U.conj().T
-    return from_complex_adjoint(acc * (r / nodes))
+    inside = np.abs(np.diag(R) - c) < r
+    k = int(np.count_nonzero(inside))
+    if not inside[:k].all():  # swaps of 1x1 blocks, which cannot fail
+        R, U = ztrsen(inside.astype(np.int32), R, U, job="N")[:2]
+    n = len(R)
+    W = (R - c * np.eye(n)) / r
+    F = np.zeros_like(W)
+    # LAPACK rejects empty triangular matrices, so each block runs only if present
+    if k:
+        F[:k, :k] = _inv_triangular(np.eye(k) - _power(W[:k, :k], nodes), "I - W^N")
+    if k < n:
+        VN = _power(_inv_triangular(W[k:, k:], "W"), nodes)
+        F[k:, k:] = -VN @ _inv_triangular(np.eye(n - k) - VN, "I - W^-N")
+    if 0 < k < n:
+        W12 = W[:k, k:]
+        X, scale, _ = ztrsyl(W[:k, :k], W[k:, k:], F[:k, :k] @ W12 - W12 @ F[k:, k:], isgn=-1)
+        F[:k, k:] = X / scale
+    return R, U, F
 
 
 def riesz_projector(T, spec, unit=None):
     """Projector P onto the spectral part of square T inside the contour spec.
 
-    P^2 = P and PT = TP up to quadrature error.  One complex Schur form of
-    chi(T) gives both the eigen-spheres (from its diagonal) and the N/2 + 1
-    triangular inversions of the pair-summed rule.  unit, the slice of the
-    nodes, has no effect: the pair-summed rule is the same in every slice.
+    P^2 = P and PT = TP up to quadrature error.  P is the closed form
+    (I - W^N)^{-1} of the N-node rule (module docstring), evaluated on one
+    reordered complex Schur form of chi(T) with O(log N) triangular products;
+    the same Schur form gives the eigen-spheres.  unit, the slice of the
+    nodes, has no effect: the rule is the same in every slice.
     Raises ShapeError for non-square T, NonFiniteInputError for NaN or inf
     entries and ContourOnSpectrumError if a spectral sphere sits on the
     contour.
     """
-    return _contour_sum(*_schur_spheres(T), spec, 0)
+    R, U, F = _contour_sum(*_schur_spheres(T), spec)
+    return from_complex_adjoint(U @ F @ U.conj().T)
 
 
 def riesz_s_part(T, spec, unit=None):
-    """Contour integral of the resolvent against f(s) = s.
+    """N-node contour rule of the resolvent against f(s) = s.
 
-    Equals T @ P for the projector P of the same contour, once the
-    quadrature has converged; an independent consistency check.  unit has
-    no effect, as in riesz_projector.
+    In closed form it is T @ P for the projector P of the same rule, at
+    every N: chi(T) (I - W^N)^{-1} on the reordered Schur form, at the cost
+    of riesz_projector.  unit has no effect, as in riesz_projector.
     """
-    return _contour_sum(*_schur_spheres(T), spec, 1)
+    R, U, F = _contour_sum(*_schur_spheres(T), spec)
+    return from_complex_adjoint(U @ (R @ F) @ U.conj().T)
 
 
 @dataclass
@@ -208,7 +248,8 @@ def spectral_split(T, spec, unit=None, rank_threshold=1e-7):
     """
     T = as_qmatrix(T)
     R, U, spheres = _schur_spheres(T)
-    P = _contour_sum(R, U, spheres, spec, 0)
+    R, U, F = _contour_sum(R, U, spheres, spec)
+    P = from_complex_adjoint(U @ F @ U.conj().T)
     basis, rank = range_basis(P, rank_threshold)
     if basis.cols != rank:
         raise RankDeficiencyError(

@@ -680,6 +680,28 @@ def test_herm_eig_contract_at_small_eigenvalue_gaps(gap):
         assert congruence_defect(H, spec, V) <= 1e-12 * (1.0 + H.norm())
 
 
+def test_herm_eig_cuts_a_chain_of_close_eigenvalues():
+    """Forty eigenvalues 2.9e-12 apart, each step within the 3e-12 grouping
+    gap: groups are cut where they first span past the gap, so they do not
+    merge into one eigenvalue of multiplicity 40, and the group means keep
+    the contract."""
+    gen = rng(5)
+    lam = -2.0 + 2.9e-12 * np.arange(40)
+    U = random_unitary(gen, 40)
+    H = U @ QMatrix.diag([Quaternion(x) for x in lam]) @ U.adjoint()
+    H = (H + H.adjoint()) * 0.5
+    spec, V = herm_eig(H)
+    assert spec.signature == (0, 40, 0)
+    assert np.ptp(spec.eigenvalues) > 1e-10
+    assert congruence_defect(H, spec, V) <= 1e-12 * (1.0 + H.norm())
+
+
+def test_herm_eig_empty_matrix():
+    spec, V = herm_eig(QMatrix.zeros(0, 0))
+    assert spec.eigenvalues == [] and spec.signature == (0, 0, 0)
+    assert V.shape == (0, 0)
+
+
 def test_sylvester_inertia_invariance():
     """Congruence by an invertible factor preserves the signature."""
     g = rng(43)

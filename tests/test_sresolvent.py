@@ -123,7 +123,7 @@ def test_riesz_projector_properties():
 
 
 def test_riesz_projector_slice_independent():
-    """The pair-summed projector equals the node-by-node sum in any slice."""
+    """The closed-form projector equals the node-by-node sum in any slice."""
     g = rng(53)
     T = two_cluster(g)
     spec = ContourSpec(0.0, 1.0, nodes=256)
@@ -131,6 +131,59 @@ def test_riesz_projector_slice_independent():
     for _ in range(4):
         u = random_unit_imaginary(g)
         assert (_riesz_by_resolvents(T, spec, u) - base).norm() < 1e-10
+
+
+def _closed_form_case(name):
+    """(T, center, radius) for the closed-form rule against the node-by-node sum."""
+    g = rng(59)
+    U = random_unitary(g, 3)
+    if name == "all-inside":
+        pts = [Quaternion(0.3, 0.4), Quaternion(-0.5, 0, 0.2), Quaternion(0.1, 0, 0, -0.6)]
+        return matrix_with_spectrum(g, pts), 0.0, 1.0
+    if name == "all-outside":
+        pts = [Quaternion(1.5, 0.4), Quaternion(-1.3, 0, 0.9), Quaternion(0.2, 0, 0, -2.0)]
+        return matrix_with_spectrum(g, pts), 0.0, 1.0
+    if name == "center":  # w = 0 is an eigenvalue of W, and W11 is singular
+        T = QMatrix.from_entries([[0.0, 1.0, 0.5], [0.0, Quaternion(0, 0.5), 1.0],
+                                  [0.0, 0.0, Quaternion(1.7, 0, 0.3)]])
+        return U @ T @ U.adjoint(), 0.0, 1.0
+    if name == "underflow":  # W^N and W22^-N underflow to zero
+        pts = [Quaternion(1e-3, 2e-4), Quaternion(0, 0, 1e-3), Quaternion(8e-4, 0, 0, 6e-4),
+               Quaternion(1e3, 0, 4e2)]
+        return matrix_with_spectrum(g, pts), 0.0, 1.0
+    if name == "jordan":  # non-normal: a Jordan block beside an outside sphere
+        q = Quaternion(0.3, 0.4)
+        T = QMatrix.from_entries([[q, 50.0, 0.5], [0.0, q, 0.5],
+                                  [0.0, 0.0, Quaternion(1.6, 0, 0.5)]])
+        return U @ T @ U.adjoint(), 0.0, 1.0
+    assert name == "offset"
+    pts = [Quaternion(1.8, 0.6), Quaternion(2.5, 0, 0.3), Quaternion(0.3, 0.4),
+           Quaternion(4.0, 0, 0, 1.0)]
+    return matrix_with_spectrum(g, pts), 2.0, 1.2
+
+
+@pytest.mark.parametrize("nodes", [16, 64, 256])
+@pytest.mark.parametrize("name", ["all-inside", "all-outside", "center", "underflow",
+                                  "jordan", "offset"])
+def test_closed_form_against_node_by_node_sum(name, nodes):
+    """(I - W^N)^{-1} on the reordered Schur form is the N-node rule itself:
+    it matches the sum of S-resolvents node by node, in two slices, and its
+    s-part is T @ P at every N."""
+    T, center, radius = _closed_form_case(name)
+    spec = ContourSpec(center, radius, nodes=nodes)
+    P = riesz_projector(T, spec)
+    scale = 1.0 + P.norm()
+    for unit in (UnitImaginary(0, 1, 0), random_unit_imaginary(rng(nodes))):
+        assert (P - _riesz_by_resolvents(T, spec, unit)).norm() <= 1e-10 * scale
+    assert (riesz_s_part(T, spec) - T @ P).norm() <= 1e-12 * (1.0 + T.norm()) * scale
+
+
+@pytest.mark.parametrize("nodes", [16, 64, 256])
+def test_closed_form_empty_matrix(nodes, capfd):
+    spec = ContourSpec(0.0, 1.0, nodes=nodes)
+    assert riesz_projector(QMatrix.zeros(0), spec).shape == (0, 0)
+    assert riesz_s_part(QMatrix.zeros(0), spec).shape == (0, 0)
+    assert capfd.readouterr() == ("", "")
 
 
 @PROPERTY
@@ -211,10 +264,10 @@ def test_contour_through_spectrum_raises():
     with pytest.raises(ContourOnSpectrumError):
         riesz_projector(T, ContourSpec(0.0, 1.0))
     # past the sphere check, a node on an eigenvalue of the Schur factor makes
-    # Q_k(R) exactly singular, and the triangular inversion says so
+    # I - W^-N exactly singular, and the triangular inversion says so
     R = np.diag([1.0 + 0j, 3.0, 1.0, 3.0])
     with pytest.raises(ContourOnSpectrumError):
-        _contour_sum(R, np.eye(4), [], ContourSpec(0.0, 1.0), 0)
+        _contour_sum(R, np.eye(4), [], ContourSpec(0.0, 1.0))
 
 
 def test_contour_spec_validation():
