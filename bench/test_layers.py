@@ -1,5 +1,5 @@
-"""Fixed-seed size sweeps of the layers under `realize` -> `kl-factor` and
-of the Riesz projector.
+"""Fixed-seed size sweeps of the layers under `realize` -> `kl-factor`, of
+the Riesz projector and of the Blaschke series under `neg_squares`.
 
 Each case records in extra_info["checksum"] a float summary of its output,
 so that two checkouts can be shown to compute the same thing; it is
@@ -19,6 +19,10 @@ from qschur import (
     QMatrix,
     Quaternion,
     Realization,
+    Sphere,
+    blaschke_point,
+    blaschke_product,
+    blaschke_reciprocal,
     herm_eig,
     j_unitary_complete,
     signature_blocks,
@@ -146,3 +150,27 @@ def test_riesz_projector(benchmark, n, nodes):
                                    for m, t in zip(mods, angles)])
     P = benchmark(riesz_projector, T, ContourSpec(0.0, 1.0, nodes))
     benchmark.extra_info["checksum"] = P.norm()
+
+
+@pytest.mark.parametrize("degree", [12, 20, 48])
+def test_blaschke_point(benchmark, degree):
+    a = Quaternion(0.35, 0.3, -0.2, 0.1)
+    out = benchmark(blaschke_point, a, degree)
+    benchmark.extra_info["checksum"] = _norms(out)
+
+
+@pytest.mark.parametrize("degree", [12, 20, 48])
+def test_blaschke_reciprocal(benchmark, degree):
+    """Coefficients grow like |1/a|^n = 1.25^n."""
+    a = Quaternion(0.6, 0.3, 0.0, 0.4)
+    out = benchmark(blaschke_reciprocal, a, degree)
+    benchmark.extra_info["checksum"] = _norms(out.series)
+
+
+@pytest.mark.parametrize("degree", [12, 20, 48])
+def test_blaschke_product(benchmark, degree):
+    """Two point zeros and one sphere, as in the products of the `kernel`
+    workload's negative-squares operations."""
+    zeros = [Quaternion(0.4, 0.1, 0.0, -0.2), Sphere(0.2, 0.3), Quaternion(-0.3, 0.0, 0.45, 0.1)]
+    out = benchmark(blaschke_product, zeros, degree)
+    benchmark.extra_info["checksum"] = _norms(out.series)

@@ -86,6 +86,8 @@ def parse_zero(text):
             re_, im_ = (float(t) for t in body.split(",")[:2])
         except ValueError as exc:
             raise CLIParseError("bad sphere zero %r" % text) from exc
+        if not (math.isfinite(re_) and math.isfinite(im_)):
+            raise CLIParseError("sphere zero components must be finite, got %r" % text)
         if im_ < 0:
             raise CLIParseError("sphere imaginary magnitude must be >= 0")
         return Sphere(re_, im_)

@@ -61,7 +61,6 @@ from .series import (
     star_inverse,
     star_left_eval,
     star_mul,
-    star_solve_left,
 )
 from . import kernels as _kernels
 
@@ -288,7 +287,7 @@ def realization_eval(R, p):
 
     The middle factor is evaluated with the closed form of star_left_eval;
     the constant right factor B commutes out of the series, the left one
-    does not.
+    does not.  Raises SingularMatrixError when p lies on a pole sphere.
     """
     if not isinstance(p, Quaternion):
         p = Quaternion._coerce(p)
@@ -381,12 +380,6 @@ def blaschke_reciprocal_realization(b, c=None):
     D = QMatrix.scalar(c * (1.0 / m))
     P = QMatrix.scalar(Quaternion(-(1.0 - m * m) / (m * m)))
     return Realization(A, B, C, D, sigma=QMatrix.eye(1), P=P)
-
-
-def krein_langer_compose(bprod, S0):
-    """Left-divide by a finite product: the series of B^{-*} * S0."""
-    series = bprod.series if hasattr(bprod, "series") else bprod
-    return star_solve_left(series, S0)
 
 
 @dataclass

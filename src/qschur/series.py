@@ -19,7 +19,7 @@ from scipy.linalg import solve_triangular
 
 from .errors import NotInvertibleAtZeroError, ShapeError, SingularMatrixError
 from .quat import Quaternion
-from .qmatrix import QMatrix, as_qmatrix, inverse, vstack
+from .qmatrix import QMatrix, as_qmatrix, from_complex_adjoint, inverse, vstack
 
 
 class SliceSeries:
@@ -358,12 +358,26 @@ def star_left_eval(C, A, p, rtol=1e-12):
     A constant left factor does not commute with powers of p, so this is
     not C @ star_resolvent_eval(A, p); the correct closed form is
 
-        (C - conj(p) C A) (|p|^2 A^2 - 2 Re(p) A + I)^{-1}.
+        (C - conj(p) C A) R^{-1},   R = |p|^2 A^2 - 2 Re(p) A + I.
+
+    Raises SingularMatrixError when p lies on a pole sphere: when a singular
+    value of chi(R) is at most rtol times |p|^2 |A^2| + 2 |Re p| |A| + 1, the
+    size of R's terms.  The ratio of R's own singular values would not do:
+    for one state chi(R) is |R| times a unitary.
     """
     C = as_qmatrix(C)
     A = as_qmatrix(A)
     if C.cols != A.rows or not A.is_square():
         raise ShapeError("shape mismatch in star_left_eval")
     p = Quaternion._coerce(p)
-    R = p.norm_sq() * (A @ A) - (2.0 * p.x0) * A + QMatrix.eye(A.rows)
-    return (C - p.conj() * (C @ A)) @ inverse(R, rtol)
+    A2 = A @ A
+    R = p.norm_sq() * A2 - (2.0 * p.x0) * A + QMatrix.eye(A.rows)
+    scale = p.norm_sq() * A2.norm() + 2.0 * abs(p.x0) * A.norm() + 1.0
+    chi = R.complex_adjoint()
+    sv = np.linalg.svd(chi, compute_uv=False)
+    if np.any(sv <= rtol * scale):
+        raise SingularMatrixError(
+            "p = %s is on a pole sphere: singular value %g of terms of size %g"
+            % (p, sv.min(), scale))
+    left = (C - p.conj() * (C @ A)).complex_adjoint()
+    return from_complex_adjoint(np.linalg.solve(chi.T, left.T).T)

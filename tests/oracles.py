@@ -8,7 +8,16 @@ import math
 
 import numpy as np
 
-from qschur import CompletionFailureError, HermSpectrum, NotHermitianError, QMatrix, SliceSeries
+from qschur import (
+    CompletionFailureError,
+    HermSpectrum,
+    NotHermitianError,
+    QMatrix,
+    Quaternion,
+    SliceSeries,
+    star_inverse,
+    star_mul,
+)
 from qschur.qmatrix import (
     _columns_from_complex,
     gram_schmidt_columns,
@@ -158,3 +167,78 @@ def projectors_by_cluster(spec, V, cluster, tol=None):
         Vl = QMatrix(V._a[:, mask], V._b[:, mask])
         out.append((l, mask, Vl @ solve(Vl.adjoint() @ Vl, Vl.adjoint())))
     return out
+
+
+def blaschke_point_by_degree(a, degree):
+    """Point factor series one Quaternion product per coefficient:
+    c_0 = |a|, c_n = conj(a)^{n-1} (|a|^2 - 1) conj(a)/|a|."""
+    if a.is_zero():
+        return SliceSeries.variable(degree)
+    m = abs(a)
+    ac = a.conj()
+    u = ac * (1.0 / m)
+    coeffs = [Quaternion(m)]
+    pw = Quaternion(1.0)
+    for _ in range(degree):
+        coeffs.append(pw * (m * m - 1.0) * u)
+        pw = pw * ac
+    return SliceSeries.polynomial([QMatrix.scalar(c) for c in coeffs])
+
+
+def blaschke_sphere_by_division(sphere, degree):
+    """(p^2 - 2 Re(a) p + |a|^2) * (1 - 2 Re(a) p + |a|^2 p^2)^{-*} by a star
+    division of the two polynomials."""
+    m, x = sphere.modulus(), sphere.re
+    num = SliceSeries.polynomial([m * m, -2.0 * x, 1.0], degree)
+    den = SliceSeries.polynomial([1.0, -2.0 * x, m * m], degree)
+    return star_mul(star_inverse(den), num)
+
+
+def blaschke_value_closed_form(a, p):
+    """B_a(p) = (w a - p w) conj(a)/|a| with w = d^{-1} (1 - p a) and
+    d = 1 - 2 Re(a) p + |a|^2 p^2; None on the pole sphere (d = 0)."""
+    if a.is_zero():
+        return p
+    m = abs(a)
+    d = Quaternion(1.0) - (2.0 * a.x0) * p + (m * m) * p * p
+    if d.is_zero():
+        return None
+    w = d.inverse() * (Quaternion(1.0) - p * a)
+    return (w * a - p * w) * (a.conj() * (1.0 / m))
+
+
+def blaschke_sphere_value_closed_form(sphere, p):
+    """(p^2 - 2 Re(a) p + |a|^2)(1 - 2 Re(a) p + |a|^2 p^2)^{-1}; None on
+    the pole sphere."""
+    m, x = sphere.modulus(), sphere.re
+    den = Quaternion(1.0) - (2.0 * x) * p + (m * m) * p * p
+    if den.is_zero():
+        return None
+    return (p * p - (2.0 * x) * p + Quaternion(m * m)) * den.inverse()
+
+
+def blaschke_reciprocal_value_closed_form(a, p):
+    """W - p W conj(a) for W = (|a|^2 - 2 Re(a) p + p^2)^{-1} (|a| - p a/|a|);
+    None on the sphere of a."""
+    m = abs(a)
+    d = Quaternion(m * m) - (2.0 * a.x0) * p + p * p
+    if d.is_zero():
+        return None
+    W = d.inverse() * (Quaternion(m) - p * a * (1.0 / m))
+    return W - p * W * a.conj()
+
+
+def blaschke_product_value_by_composition(factors, p):
+    """Product value factor by factor: (f * g)(p) = f(p) g(f(p)^{-1} p f(p))
+    where f(p) != 0, for factors ("point", a) or ("sphere", Sphere)."""
+    val = Quaternion(1.0)
+    q = p
+    for kind, par in factors:
+        w = (blaschke_value_closed_form(par, q) if kind == "point"
+             else blaschke_sphere_value_closed_form(par, q))
+        if abs(w) <= 1e-13 * (1.0 + abs(q)):
+            # hit a zero: the remaining factors only multiply by O(1)
+            return val * w
+        val = val * w
+        q = w.inverse() * q * w
+    return val

@@ -4,30 +4,48 @@ import math
 
 import numpy as np
 import pytest
+from conftest import PROPERTY
+from hypothesis import given, strategies as st
 
 from qschur import (
     DegenerateChoiceError,
     InvalidModulusError,
+    NonFiniteInputError,
     NotInvertibleAtZeroError,
     OnPoleSphereError,
     Quaternion,
     QI,
     QJ,
+    SingularMatrixError,
+    SliceSeries,
     Sphere,
     UnitImaginary,
     blaschke_point,
     blaschke_product,
     blaschke_reciprocal,
+    blaschke_reciprocal_realization,
     blaschke_reciprocal_value,
     blaschke_sphere,
     blaschke_sphere_value,
     blaschke_value,
     quaternion_in_slice,
+    realization_eval,
     sphere_of,
+    star_inverse,
     star_mul,
+    star_resolvent_eval,
     tail_bound,
 )
-from qschur.sampling import ball_point, random_unit_imaginary, rng
+from qschur.sampling import ball_point, random_quaternion, random_unit_imaginary, rng
+
+from oracles import (
+    blaschke_point_by_degree,
+    blaschke_product_value_by_composition,
+    blaschke_reciprocal_value_closed_form,
+    blaschke_sphere_by_division,
+    blaschke_sphere_value_closed_form,
+    blaschke_value_closed_form,
+)
 
 UNITS = [
     UnitImaginary(1.0, 0.0, 0.0),
@@ -253,3 +271,142 @@ def test_point_value_pole_guard():
     p = (Quaternion(1.0) / a.conj())
     with pytest.raises(OnPoleSphereError):
         blaschke_value(a, p)
+
+
+# ---------------------------------------------------------------------------
+# realizations against the closed-form and per-coefficient oracles
+# ---------------------------------------------------------------------------
+
+
+def _in_ball(gen, lo, hi):
+    """Random quaternion, random slice, modulus uniform in (lo, hi)."""
+    q = random_quaternion(gen)
+    return q * (gen.uniform(lo, hi) / abs(q))
+
+
+def _on_sphere(gen, q):
+    """A point of the sphere of q in a random slice."""
+    return sphere_of(q).representative(random_unit_imaginary(gen))
+
+
+def _series_gap(f, g):
+    return max((x - y).norm() for x, y in zip(f.coeffs(), g.coeffs()))
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_factor_series_match_coefficient_loop_and_division(seed):
+    gen = rng(seed)
+    a = _in_ball(gen, 0.05, 0.95)
+    s = sphere_of(_in_ball(gen, 0.05, 0.95))
+    assert _series_gap(blaschke_point(a, 30), blaschke_point_by_degree(a, 30)) <= 1e-14
+    assert _series_gap(blaschke_sphere(s, 30), blaschke_sphere_by_division(s, 30)) <= 1e-14
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_reciprocal_series_matches_star_inverse(seed):
+    """Relative to each coefficient: they grow like |1/a|^n."""
+    gen = rng(seed)
+    a = _in_ball(gen, 0.05, 0.95)
+    ref = star_inverse(blaschke_point_by_degree(a, 30))
+    got = blaschke_reciprocal(a, 30).series
+    for x, y in zip(got.coeffs(), ref.coeffs()):
+        assert (x - y).norm() <= 1e-12 * y.norm()
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_factor_values_match_closed_forms(seed):
+    gen = rng(seed)
+    a = _in_ball(gen, 0.05, 0.95)
+    s = sphere_of(_in_ball(gen, 0.05, 0.95))
+    p = _in_ball(gen, 0.0, 0.95)
+    for got, want in ((blaschke_value(a, p), blaschke_value_closed_form(a, p)),
+                      (blaschke_sphere_value(s, p), blaschke_sphere_value_closed_form(s, p)),
+                      (blaschke_reciprocal_value(a, p),
+                       blaschke_reciprocal_value_closed_form(a, p))):
+        assert abs(got - want) <= 1e-13 * (1.0 + abs(want))
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_product_matches_composition_rule(seed):
+    """Two point zeros around a sphere: the cascade's value against the
+    factor-by-factor composition rule, its series against the star product
+    of the factor series, and zero values at the prescribed zeros."""
+    gen = rng(seed)
+    zeros = [_in_ball(gen, 0.05, 0.95), sphere_of(_in_ball(gen, 0.05, 0.95)),
+             _in_ball(gen, 0.05, 0.95)]
+    prod = blaschke_product(zeros, 30)
+    p = _in_ball(gen, 0.0, 0.95)
+    want = blaschke_product_value_by_composition(prod.factors, p)
+    assert abs(prod.value(p) - want) <= 1e-13 * (1.0 + abs(want))
+    ref = SliceSeries.one(30)
+    for kind, par in prod.factors:
+        ref = star_mul(ref, blaschke_point_by_degree(par, 30) if kind == "point"
+                       else blaschke_sphere_by_division(par, 30))
+    assert _series_gap(prod.series, ref) <= 1e-14
+    for z in (zeros[0], zeros[1].representative(random_unit_imaginary(gen)), zeros[2]):
+        assert abs(prod.value(z)) <= 1e-13
+
+
+def test_empty_product_is_one():
+    prod = blaschke_product([], degree=6)
+    assert _series_gap(prod.series, SliceSeries.one(6)) == 0.0
+    assert prod.value(Quaternion(0.3, 0.2)) == Quaternion(1.0)
+
+
+# ---------------------------------------------------------------------------
+# pole spheres and non-finite parameters
+# ---------------------------------------------------------------------------
+
+
+def test_pole_spheres_raise_in_every_slice():
+    """Points of each pole sphere in random slices: the point factor's at
+    [1/conj(a)], the reciprocal's at [a], the sphere factor's at [1/a] and a
+    product's at the pole sphere of its middle factor."""
+    gen = rng(900)
+    for _ in range(50):
+        a = _in_ball(gen, 0.05, 0.95)
+        s = sphere_of(_in_ball(gen, 0.05, 0.95))
+        with pytest.raises(OnPoleSphereError):
+            blaschke_value(a, _on_sphere(gen, a.conj().inverse()))
+        with pytest.raises(OnPoleSphereError):
+            blaschke_reciprocal_value(a, _on_sphere(gen, a))
+        with pytest.raises(OnPoleSphereError):
+            blaschke_reciprocal(a, 4).value(_on_sphere(gen, a))
+        with pytest.raises(OnPoleSphereError):
+            blaschke_sphere_value(s, _on_sphere(gen, s.representative().inverse()))
+        prod = blaschke_product([_in_ball(gen, 0.05, 0.95) for _ in range(3)], 4)
+        with pytest.raises(OnPoleSphereError):
+            prod.value(_on_sphere(gen, prod.factors[1][1].inverse()))
+
+
+def test_one_state_eval_raises_on_pole_sphere():
+    """For one state chi(1 - 2 Re(p) A + |p|^2 A^2) is a multiple of a unitary,
+    so the pole test must be relative to the size of its terms."""
+    gen = rng(950)
+    for _ in range(50):
+        b = _in_ball(gen, 0.05, 0.95)
+        R = blaschke_reciprocal_realization(b)
+        p = _on_sphere(gen, b)
+        with pytest.raises(SingularMatrixError):
+            realization_eval(R, p)
+        with pytest.raises(SingularMatrixError):
+            star_resolvent_eval(R.A, p)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_rejected(bad):
+    q = Quaternion(0.1, bad)
+    p = Quaternion(0.2)
+    calls = [lambda: blaschke_point(q), lambda: blaschke_value(q, p),
+             lambda: blaschke_sphere(Sphere(bad, 0.1)),
+             lambda: blaschke_sphere_value(Sphere(0.1, abs(bad)), p),
+             lambda: blaschke_reciprocal(q), lambda: blaschke_reciprocal_value(q, p),
+             lambda: blaschke_product([Quaternion(0.3), q]),
+             lambda: blaschke_product([Sphere(bad, 0.1)])]
+    for call in calls:
+        with pytest.raises(NonFiniteInputError):
+            call()

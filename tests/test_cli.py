@@ -197,6 +197,12 @@ def test_blaschke_bad_zero_syntax_exits_2(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("zero", ["sphere:nan,0.1", "sphere:0.1,inf"])
+def test_blaschke_non_finite_sphere_zero_exits_2(capsys, zero):
+    rc, _, _ = run(capsys, ["blaschke", "--zeros", zero])
+    assert rc == 2
+
+
 def test_blaschke_csv_lists_coefficients(capsys):
     rc, out, _ = run(capsys, ["blaschke", "--zeros", "0.4",
                               "--degree", "6", "--format", "csv"])
