@@ -1,5 +1,6 @@
 """Fixed-seed size sweeps of the layers under `realize` -> `kl-factor`, of
-the Riesz projector and of the Blaschke series under `neg_squares`.
+the Riesz projector, of the Blaschke series under `neg_squares`, and of the
+kernel layer: `neg_squares` and `kernel_identity_residuals`.
 
 Each case records in extra_info["checksum"] a float summary of its output,
 so that two checkouts can be shown to compute the same thing; it is
@@ -19,21 +20,27 @@ from qschur import (
     QMatrix,
     Quaternion,
     Realization,
+    SliceSeries,
     Sphere,
     blaschke_point,
     blaschke_product,
     blaschke_reciprocal,
     herm_eig,
     j_unitary_complete,
+    kernel_identity_residuals,
+    neg_squares,
     signature_blocks,
     star_inverse,
+    star_mul,
     vstack,
 )
+from qschur.kernels import KernelCoeffs
 from qschur.realization import realization_series
 from qschur.sampling import (
     matrix_with_spectrum,
     random_hermitian,
     random_qmatrix,
+    random_quaternion,
     random_unitary,
     rng,
 )
@@ -174,3 +181,39 @@ def test_blaschke_product(benchmark, degree):
     zeros = [Quaternion(0.4, 0.1, 0.0, -0.2), Sphere(0.2, 0.3), Quaternion(-0.3, 0.0, 0.45, 0.1)]
     out = benchmark(blaschke_product, zeros, degree)
     benchmark.extra_info["checksum"] = _norms(out.series)
+
+
+def _on_sphere(gen, modulus):
+    q = random_quaternion(gen)
+    return q * (modulus / abs(q))
+
+
+@pytest.mark.parametrize("mu_max", [12, 20, 40])
+def test_neg_squares(benchmark, mu_max):
+    """Two reciprocal factors with zeros of modulus 0.85, a two-zero Blaschke
+    product and a constant, as in the `kernel` workload's negative-squares
+    operations.  The checksum adds kappa, the section counts and the
+    zero thresholds."""
+    gen = rng(700 + mu_max)
+    S = SliceSeries.one(mu_max)
+    for _ in range(2):
+        S = star_mul(S, blaschke_reciprocal(_on_sphere(gen, 0.85), mu_max).series)
+    S = star_mul(S, blaschke_product([_on_sphere(gen, 0.5) for _ in range(2)], mu_max).series)
+    S = S * _on_sphere(gen, 0.8)
+    res = benchmark(neg_squares, S, mu_max=mu_max)
+    benchmark.extra_info["checksum"] = res.kappa + sum(res.counts) + sum(res.tols)
+
+
+@pytest.mark.parametrize("degree", [20, 40, 64])
+def test_kernel_identity_residuals(benchmark, degree):
+    """Two point pairs on a completed two-state realization, as in the
+    `kernel` workload.  The residuals are rounding noise, so the checksum is
+    the sum of the kernel values |K(p, q)| at the pairs."""
+    gen = rng(800 + degree)
+    A = matrix_with_spectrum(gen, [_on_sphere(gen, 0.7), _on_sphere(gen, 0.4)])
+    R = j_unitary_complete(A, random_qmatrix(gen, 1, 2), QMatrix.eye(1))
+    pairs = [(_on_sphere(gen, 0.5), _on_sphere(gen, 0.3)) for _ in range(2)]
+    out = benchmark(kernel_identity_residuals, R, pairs, degree)
+    assert max(out) < 1e-8
+    kc = KernelCoeffs(realization_series(R, degree))
+    benchmark.extra_info["checksum"] = sum(kc.value(p, q, degree).norm() for p, q in pairs)

@@ -29,7 +29,6 @@ from .errors import (
     DegenerateChoiceError,
     InvalidModulusError,
     NonFiniteInputError,
-    NotInvertibleAtZeroError,
     OnPoleSphereError,
     SingularMatrixError,
 )
@@ -81,14 +80,6 @@ def _sphere_realization(sphere):
     return cascade(_point_realization(a), _point_realization(a.conj()))
 
 
-def _reciprocal_realization(a):
-    """B_a^{-*}, which exists for a != 0."""
-    a = _parameter(a)
-    if a.is_zero():
-        raise NotInvertibleAtZeroError("the factor with zero 0 has no star inverse")
-    return blaschke_reciprocal_realization(a)
-
-
 def _value(R, p):
     try:
         return realization_eval(R, p).item()
@@ -125,7 +116,7 @@ def blaschke_sphere_value(sphere, p):
 def blaschke_reciprocal_value(a, p):
     """Value of the star reciprocal of a point factor; it vanishes exactly at
     1/conj(a) and blows up on the sphere of a."""
-    return _value(_reciprocal_realization(a), p)
+    return _value(blaschke_reciprocal_realization(a), p)
 
 
 @dataclass
@@ -170,21 +161,23 @@ def blaschke_product(zeros, degree=DEFAULT_DEGREE, degenerate_tol=1e-12):
     """
     zeros = list(zeros)
     factors = []
-    R = _ONE
+    R = None  # the empty product: its value is 1 and its cascade with a factor is that factor
     for z in zeros:
         if isinstance(z, Sphere):
             fac = _sphere_realization(z)
             factors.append(("sphere", z))
         else:
-            z = _parameter(z)
-            lam = _value(R, z)
-            if abs(lam) <= degenerate_tol:
-                raise DegenerateChoiceError(
-                    "prescribed zero %s already annihilates the partial product" % (z,))
-            a = lam.inverse() * z * lam
+            a = _parameter(z)
+            if R is not None:
+                lam = _value(R, a)
+                if abs(lam) <= degenerate_tol:
+                    raise DegenerateChoiceError(
+                        "prescribed zero %s already annihilates the partial product" % (a,))
+                a = lam.inverse() * a * lam
             fac = _point_realization(a)
             factors.append(("point", a))
-        R = cascade(R, fac)
+        R = fac if R is None else cascade(R, fac)
+    R = _ONE if R is None else R
     return BlaschkeProduct(realization_series(R, degree), factors, R, zeros)
 
 
@@ -204,5 +197,5 @@ class BlaschkeReciprocal:
 def blaschke_reciprocal(a, degree=DEFAULT_DEGREE):
     """Series of B_a^{-*}; defined only for a != 0 (constant term |a| != 0)."""
     a = _as_quat(a)
-    series = realization_series(_reciprocal_realization(a), degree)
+    series = realization_series(blaschke_reciprocal_realization(a), degree)
     return BlaschkeReciprocal(series, a, sphere_of(a), a.conj().inverse())

@@ -14,11 +14,12 @@ so every smaller section is a leading principal block of the largest.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotHermitianError, ShapeError
+from .errors import NonFiniteInputError, NotHermitianError, ShapeError
 from .quat import Quaternion
 from .qmatrix import QMatrix, as_qmatrix
 from .series import SliceSeries, lower_toeplitz
@@ -58,18 +59,37 @@ class KernelCoeffs:
         return self.block_matrix(mu).herm_defect()
 
     def value(self, p, q, degree):
-        """Truncated kernel value sum_{n,m<=degree} p^n a_{n,m} conj(q)^m, by
-        Horner sweeps over A_degree: block rows with p, then block columns with conj(q)."""
-        qc = Quaternion._coerce(q).conj()
-        r = self.series.rows
-        A = self.block_matrix(degree)
-        row = A[degree * r:, :]
-        for n in range(degree - 1, -1, -1):
-            row = A[n * r:(n + 1) * r, :] + p * row
-        acc = row[:, degree * r:]
-        for m in range(degree - 1, -1, -1):
-            acc = row[:, m * r:(m + 1) * r] + acc * qc
-        return acc
+        """Truncated kernel value sum_{n,m<=degree} p^n a_{n,m} conj(q)^m, as
+        one product with the section A_degree (see _section_value)."""
+        return _section_value(self.block_matrix(degree), p, q, degree)
+
+
+def _powers(p, degree):
+    """Components (a, b) of p^0 .. p^degree in the a + b*j split.
+
+    On the slice of p = x0 + v, with z = x0 + i|v|, p^n = Re z^n + Im z^n v/|v|;
+    for real p every Im z^n is zero.
+    """
+    p = Quaternion._coerce(p)
+    s = math.hypot(p.x1, p.x2, p.x3)
+    z = np.full(degree + 1, complex(p.x0, s))
+    z[0] = 1.0
+    np.cumprod(z, out=z)
+    u1, u2, u3 = (p.x1 / s, p.x2 / s, p.x3 / s) if s else (0.0, 0.0, 0.0)
+    return z.real + 1j * u1 * z.imag, complex(u2, u3) * z.imag
+
+
+def _section_value(A, p, q, degree):
+    """sum_{n,m<=degree} p^n a_{n,m} conj(q)^m for the section A = A_degree,
+    as the product [p^n I_r]_n A [conj(q)^m I_r]_m of a block row, A and a
+    block column, so one section serves every point pair."""
+    r = A.rows // (degree + 1)
+    I = np.eye(r)
+    pa, pb = _powers(p, degree)
+    qa, qb = _powers(Quaternion._coerce(q).conj(), degree)
+    row = QMatrix(*((I[:, None, :] * x[:, None]).reshape(r, -1) for x in (pa, pb)), copy=False)
+    col = QMatrix(*((x[:, None, None] * I).reshape(-1, r) for x in (qa, qb)), copy=False)
+    return row @ A @ col
 
 
 def schur_kernel_coeffs(S, sigma1=None, sigma2=None):
@@ -96,6 +116,19 @@ def _leading_norms(M, ends):
     return np.sqrt(sq[ends - 1, ends - 1])
 
 
+def _interleaved_chi(M):
+    """chi(M) with the 2 x 2 block [[a, b], [-conj(b), conj(a)]] of every entry
+    a + b*j kept together, so that its leading 2k x 2k block is chi(M[:k, :k])
+    up to a permutation similarity."""
+    r, c = M.shape
+    X = np.empty((r, 2, c, 2), dtype=complex)
+    X[:, 0, :, 0] = M._a
+    X[:, 0, :, 1] = M._b
+    X[:, 1, :, 0] = -M._b.conj()
+    X[:, 1, :, 1] = M._a.conj()
+    return X.reshape(2 * r, 2 * c)
+
+
 def neg_squares(S, sigma1=None, sigma2=None, mu_max=12, tol=None, window=3):
     """Count negative squares by sweeping kernel sections.
 
@@ -120,16 +153,19 @@ def neg_squares(S, sigma1=None, sigma2=None, mu_max=12, tol=None, window=3):
         mu_max = S.degree
     diag, prod = KernelCoeffs(S, sigma1, sigma2)._terms(max(mu_max, 0))
     A = diag - prod
+    X = _interleaved_chi(A)
+    if not np.all(np.isfinite(X)):
+        raise NonFiniteInputError("kernel section has a NaN or infinite entry")
     if A.herm_defect() > 1e-10 * (1.0 + A.norm()):
         raise NotHermitianError("kernel section is not Hermitian (defect %g)" % A.herm_defect())
     ends = (np.arange(mu_max + 1) + 1) * S.rows
     noise = 2 * ends * np.finfo(float).eps * (_leading_norms(diag, ends) + _leading_norms(prod, ends))
     counts, tols = [], []
     for mu, k in enumerate(ends):
-        # chi eigenvalues come in duplicate pairs, one per quaternionic eigenvalue
-        w = np.linalg.eigvalsh(A[:k, :k].complex_adjoint())
-        lam = w.reshape(-1, 2).mean(axis=1)
-        t = tol if tol is not None else max(1e-8 * float(np.max(np.abs(lam))), float(noise[mu]))
+        # sorted chi eigenvalues come in duplicate pairs, one per quaternionic eigenvalue
+        w = np.linalg.eigvalsh(X[:2 * k, :2 * k])
+        lam = (w[0::2] + w[1::2]) / 2
+        t = tol if tol is not None else max(1e-8 * float(max(-lam[0], lam[-1])), float(noise[mu]))
         counts.append(int(np.sum(lam < -t)))
         tols.append(t)
     kappa = max(counts) if counts else 0

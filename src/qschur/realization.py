@@ -21,6 +21,7 @@ is then brought to one canonical form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,10 @@ from scipy.linalg import solve_triangular
 
 from .errors import (
     BadSignatureError,
+    InvalidModulusError,
+    NonFiniteInputError,
     NotHermitianError,
+    NotInvertibleAtZeroError,
     NotObservableError,
     RankDeficiencyError,
     ShapeError,
@@ -308,16 +312,20 @@ def kernel_identity_residuals(R, pairs, degree=64):
     -s_n sigma s_m*) with equal boundary rows.  The only gap left is the
     series truncation, so keep |p|, |q| away from 1.
 
-    The series S and P^{-1} are built once for all pairs; each pair still
-    builds its own kernel section A_degree (KernelCoeffs.value), so a batch
-    costs about as much per pair as single-pair calls.
+    The series S, its kernel section A_degree and P^{-1} are built once for
+    all pairs; each pair adds two closed-form values W(p), W(q) and one
+    block row times A_degree times block column (kernels._section_value).
+    Raises ShapeError for a realization without the Stein solution P.
     """
+    if R.P is None:
+        raise ShapeError("the kernel identity needs the Stein solution P, "
+                         "which this realization does not carry")
     S = realization_series(R, degree)
-    kc = _kernels.schur_kernel_coeffs(S, sigma1=R.sigma, sigma2=R.sigma)
+    A = _kernels.schur_kernel_coeffs(S, sigma1=R.sigma, sigma2=R.sigma).block_matrix(degree)
     Pinv = inverse(R.P)
     out = []
     for p, q in pairs:
-        lhs = kc.value(p, q, degree)
+        lhs = _kernels._section_value(A, p, q, degree)
         Wp = star_left_eval(R.C, R.A, p)
         Wq = star_left_eval(R.C, R.A, q)
         rhs = Wp @ Pinv @ Wq.adjoint()
@@ -366,14 +374,21 @@ def blaschke_reciprocal_realization(b, c=None):
 
     A = 1/b, B = c, C = (1 - |b|^2)/(|b| b), D = c/|b|; its Stein solution
     is the negative number -(1 - |b|^2)/|b|^2, one negative square.
+    Raises NonFiniteInputError for a non-finite b or c, NotInvertibleAtZeroError
+    for b = 0 and InvalidModulusError for |b| >= 1.
     """
     b = b if isinstance(b, Quaternion) else Quaternion._coerce(b)
     if c is None:
         c = Quaternion(1.0)
     c = c if isinstance(c, Quaternion) else Quaternion._coerce(c)
+    if not all(math.isfinite(x) for x in b.to_list() + c.to_list()):
+        raise NonFiniteInputError("reciprocal factor data must be finite, got b = %r, c = %r"
+                                  % (b, c))
+    if b.is_zero():
+        raise NotInvertibleAtZeroError("the factor with zero 0 has no star inverse")
     m = abs(b)
-    if m == 0.0 or m >= 1.0:
-        raise ShapeError("need 0 < |b| < 1 for a reciprocal factor")
+    if m >= 1.0:
+        raise InvalidModulusError("a reciprocal factor needs |b| < 1, got %g" % m)
     A = QMatrix.scalar(b.inverse())
     B = QMatrix.scalar(c)
     C = QMatrix.scalar((b * m).inverse() * (1.0 - m * m))

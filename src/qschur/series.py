@@ -14,7 +14,7 @@ tail beyond it.  Exact polynomial arithmetic is done by padding first.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 from scipy.linalg import solve_triangular
 
 from .errors import NotInvertibleAtZeroError, ShapeError, SingularMatrixError
@@ -207,15 +207,17 @@ def _section(blocks, mu):
     """Block lower-triangular Toeplitz section [blocks[n - m]]_{n >= m; n, m <= mu}
     of a stack of equal blocks, zero past the end of the stack.
 
-    With the blocks after mu zero blocks in Z, block (n, m) is Z[mu + n - m],
-    so the windows of reversed Z are the block rows, as a view; the reshape
-    gathers them in one copy.
+    With the blocks after mu zero blocks in Z, block (n, m) is Z[mu + n - m]:
+    one strided view of Z, a step forward per block row and back per block
+    column, which the reshape gathers in one copy.
     """
     k, p, q = blocks.shape
     Z = np.zeros((2 * mu + 1, p, q), dtype=blocks.dtype)
     Z[mu:mu + min(k, mu + 1)] = blocks[:mu + 1]
-    rows = sliding_window_view(Z[::-1], mu + 1, axis=0)[::-1]
-    return rows.transpose(0, 1, 3, 2).reshape((mu + 1) * p, (mu + 1) * q)
+    s0, s1, s2 = Z.strides
+    view = as_strided(Z[mu:], shape=(mu + 1, p, mu + 1, q), strides=(s0, s1, -s0, s2),
+                      writeable=False)
+    return view.reshape((mu + 1) * p, (mu + 1) * q)
 
 
 def lower_toeplitz(f, mu):

@@ -7,10 +7,12 @@ array form to it.
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from qschur import (
     CompletionFailureError,
     HermSpectrum,
+    NegSquares,
     NotHermitianError,
     QMatrix,
     Quaternion,
@@ -26,6 +28,7 @@ from qschur.qmatrix import (
     solve,
     vstack,
 )
+from qschur.kernels import KernelCoeffs
 from qschur.series import lower_toeplitz
 
 
@@ -242,3 +245,48 @@ def blaschke_product_value_by_composition(factors, p):
         val = val * w
         q = w.inverse() * q * w
     return val
+
+
+def section_by_windows(blocks, mu):
+    """_section as the gather of the sliding windows of the reversed, padded
+    stack: each window is one block row [Z[mu + n - m]]_m."""
+    k, p, q = blocks.shape
+    Z = np.zeros((2 * mu + 1, p, q), dtype=blocks.dtype)
+    Z[mu:mu + min(k, mu + 1)] = blocks[:mu + 1]
+    rows = sliding_window_view(Z[::-1], mu + 1, axis=0)[::-1]
+    return rows.transpose(0, 1, 3, 2).reshape((mu + 1) * p, (mu + 1) * q)
+
+
+def kernel_value_by_horner(kc, p, q, degree):
+    """sum_{n,m<=degree} p^n a_{n,m} conj(q)^m by Horner sweeps over A_degree:
+    block rows with p, then block columns with conj(q)."""
+    qc = Quaternion._coerce(q).conj()
+    r = kc.series.rows
+    A = kc.block_matrix(degree)
+    row = A[degree * r:, :]
+    for n in range(degree - 1, -1, -1):
+        row = A[n * r:(n + 1) * r, :] + p * row
+    acc = row[:, degree * r:]
+    for m in range(degree - 1, -1, -1):
+        acc = row[:, m * r:(m + 1) * r] + acc * qc
+    return acc
+
+
+def neg_squares_by_section(S, sigma1=None, sigma2=None, mu_max=12, window=3):
+    """neg_squares with one QMatrix section, its own complex adjoint and its
+    own term norms per section index mu."""
+    mu_max = min(mu_max, S.degree)
+    diag, prod = KernelCoeffs(S, sigma1, sigma2)._terms(max(mu_max, 0))
+    A = diag - prod
+    counts, tols = [], []
+    for mu in range(mu_max + 1):
+        k = (mu + 1) * S.rows
+        w = np.linalg.eigvalsh(A[:k, :k].complex_adjoint())
+        lam = w.reshape(-1, 2).mean(axis=1)
+        noise = 2 * k * np.finfo(float).eps * (diag[:k, :k].norm() + prod[:k, :k].norm())
+        t = max(1e-8 * float(np.max(np.abs(lam))), noise)
+        counts.append(int(np.sum(lam < -t)))
+        tols.append(t)
+    kappa = max(counts)
+    stabilized = len(counts) >= window and all(c == kappa for c in counts[-window:])
+    return NegSquares(counts, kappa, stabilized, window, tols)

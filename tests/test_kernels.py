@@ -6,6 +6,7 @@ from conftest import PROPERTY
 from hypothesis import given, strategies as st
 
 from qschur import (
+    NonFiniteInputError,
     NotHermitianError,
     QMatrix,
     Quaternion,
@@ -13,6 +14,7 @@ from qschur import (
     ShapeError,
     SliceSeries,
     blaschke_point,
+    blaschke_product,
     blaschke_reciprocal,
     herm_eig,
     lower_toeplitz,
@@ -30,6 +32,7 @@ from qschur.sampling import (
     random_unitary,
     rng,
 )
+from oracles import kernel_value_by_horner, neg_squares_by_section
 
 
 def brute_coeff(S, n, m):
@@ -88,7 +91,7 @@ def test_block_matrix_matches_entrywise_formula(seed, r, c, degree, mu):
 
 
 def test_value_matches_double_series():
-    """Horner-evaluated kernel vs a literal double sum over (n, m)."""
+    """Kernel value vs a literal double sum over (n, m)."""
     g = rng(61)
     S = random_scalar_series(g, 8)
     kc = schur_kernel_coeffs(S)
@@ -101,6 +104,30 @@ def test_value_matches_double_series():
             acc = acc + (p ** n) * kc.coeff(n, m).item() * (q.conj() ** m)
     got = kc.value(p, q, deg).item()
     assert (got - acc).is_zero(tol=1e-11)
+
+
+def _point(gen, kind):
+    if kind == "ball":
+        return ball_point(gen, 0.95)
+    if kind == "real":
+        return Quaternion(gen.uniform(-0.95, 0.95))
+    return Quaternion()
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2 ** 32 - 1), r=st.integers(1, 2),
+       degree=st.sampled_from([0, 1, 8, 40, 64]),
+       p_kind=st.sampled_from(["ball", "real", "zero"]),
+       q_kind=st.sampled_from(["ball", "real", "zero"]))
+def test_value_matches_horner_sweeps(seed, r, degree, p_kind, q_kind):
+    """The one-product kernel value against the Horner sweeps it replaced,
+    for a series with coefficients decaying like 0.8^n."""
+    gen = rng(seed)
+    S = SliceSeries([random_qmatrix(gen, r, r, 0.5) * 0.8 ** n for n in range(degree + 1)])
+    kc = KernelCoeffs(S)
+    p, q = _point(gen, p_kind), _point(gen, q_kind)
+    want = kernel_value_by_horner(kc, p, q, degree)
+    assert (kc.value(p, q, degree) - want).norm() <= 1e-13 * (1.0 + want.norm())
 
 
 def test_sections_are_hermitian():
@@ -230,6 +257,36 @@ def test_neg_squares_matches_herm_eig_per_section(seed, kappa, mu_max):
     want = [herm_eig(kc.block_matrix(mu))[0].negatives for mu in range(mu_max + 1)]
     assert res.counts == want
     assert res.kappa == max(want)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2 ** 32 - 1), kappa=st.integers(0, 3), mu_max=st.sampled_from([12, 20]))
+def test_neg_squares_matches_per_section_loop(seed, kappa, mu_max):
+    """Sections cut from one interleaved chi against one complex adjoint per
+    section, on products of kappa reciprocal factors, a two-zero Blaschke
+    product and a constant, as in the kernel benchmark workload."""
+    gen = rng(seed)
+    S = SliceSeries.one(mu_max)
+    for _ in range(kappa):
+        S = star_mul(S, blaschke_reciprocal(ball_point(gen, 0.85), mu_max).series)
+    zeros = [ball_point(gen, 0.8) for _ in range(2)]
+    S = star_mul(S, blaschke_product(zeros, mu_max).series) * ball_point(gen, 0.8)
+    res = neg_squares(S, mu_max=mu_max)
+    want = neg_squares_by_section(S, mu_max=mu_max)
+    assert res.counts == want.counts and res.kappa == want.kappa
+    assert res.stabilized == want.stabilized
+    assert np.allclose(res.tols, want.tols, rtol=1e-12, atol=0.0)
+
+
+def test_non_finite_coefficient_rejected():
+    """A NaN coefficient used to reach eigvalsh and fail to converge there."""
+    S = SliceSeries.polynomial([Quaternion(0.5), Quaternion(float("nan"))], degree=6)
+    with pytest.raises(NonFiniteInputError):
+        neg_squares(S, mu_max=4)
+    S = SliceSeries.polynomial([Quaternion(0.5), Quaternion(0.0, float("inf"))], degree=6)
+    # inf times the zero blocks of the Toeplitz section is NaN, with a warning
+    with pytest.raises(NonFiniteInputError), np.errstate(invalid="ignore"):
+        neg_squares(S, mu_max=4)
 
 
 def test_non_hermitian_signature_rejected():

@@ -10,7 +10,9 @@ import qschur.realization as realization_module
 from qschur import (
     BadSignatureError,
     ContourSpec,
+    InvalidModulusError,
     NonFiniteInputError,
+    NotInvertibleAtZeroError,
     NotObservableError,
     QMatrix,
     Quaternion,
@@ -357,6 +359,15 @@ def test_kernel_identity_detects_wrong_metric():
     assert kernel_identity_residual(bad, p, q, degree=48) > 1e-4
 
 
+def test_kernel_identity_needs_the_stein_solution():
+    """A cascade carries no P; the identity has nothing to compare against."""
+    R = blaschke_reciprocal_realization(Quaternion(0.25, 0.4, 0.1))
+    casc = cascade(R, R)
+    assert casc.P is None
+    with pytest.raises(ShapeError, match="Stein solution P"):
+        kernel_identity_residual(casc, Quaternion(0.1), Quaternion(0.2), degree=8)
+
+
 # ---------------------------------------------------------------------------
 # cascades and the reciprocal factor realization
 # ---------------------------------------------------------------------------
@@ -428,10 +439,22 @@ def test_reciprocal_realization_nonunimodular_gain():
 
 
 def test_reciprocal_realization_rejects_bad_modulus():
-    with pytest.raises(ShapeError):
+    with pytest.raises(NotInvertibleAtZeroError):
         blaschke_reciprocal_realization(Quaternion(0.0))
-    with pytest.raises(ShapeError):
+    with pytest.raises(InvalidModulusError):
         blaschke_reciprocal_realization(Quaternion(1.2))
+    with pytest.raises(InvalidModulusError):
+        blaschke_reciprocal_realization(Quaternion(0.6, 0.8))
+
+
+def test_reciprocal_realization_rejects_non_finite_data():
+    """A NaN b once passed the modulus test and gave an all-NaN realization."""
+    with pytest.raises(NonFiniteInputError):
+        blaschke_reciprocal_realization(Quaternion(float("nan")))
+    with pytest.raises(NonFiniteInputError):
+        blaschke_reciprocal_realization(Quaternion(0.3, float("inf")))
+    with pytest.raises(NonFiniteInputError):
+        blaschke_reciprocal_realization(Quaternion(0.3), Quaternion(0.0, 0.0, float("inf")))
 
 
 # ---------------------------------------------------------------------------

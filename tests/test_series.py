@@ -25,8 +25,8 @@ from qschur import (
     star_solve_left,
 )
 from qschur.sampling import random_qmatrix, random_quaternion, random_scalar_series, rng
-from qschur.series import _state_space_series
-from oracles import star_solve_left_by_degree
+from qschur.series import _section, _state_space_series
+from oracles import section_by_windows, star_solve_left_by_degree
 
 
 def conv_brute(f, g):
@@ -116,6 +116,17 @@ def test_star_solve_left_matches_per_degree_loop(seed, r, c, degree, radius):
     want = star_solve_left_by_degree(f, g)
     assert x.degree == degree and x.shape == (r, c)
     assert np.all((x - want).coeff_norms() <= 1e-12 * (1.0 + want.coeff_norms()))
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 10), mu=st.integers(0, 8),
+       p=st.integers(1, 3), q=st.integers(1, 3))
+def test_section_matches_window_gather(seed, k, mu, p, q):
+    """The strided section against the sliding-window gather it replaced,
+    for stacks shorter and longer than mu + 1 blocks."""
+    gen = rng(seed)
+    blocks = gen.normal(size=(k, p, q)) + 1j * gen.normal(size=(k, p, q))
+    assert np.array_equal(_section(blocks, mu), section_by_windows(blocks, mu))
 
 
 def test_star_inverse_keeps_shape_and_degree_zero():
