@@ -7,12 +7,19 @@ PATH is the root of the parent checkout; the benchmark files of this
 checkout time both, each side in its own pytest process with BLAS pinned to
 one thread.  The PAIRS pairs of runs alternate which side runs first.  Per
 case and side the file holds the median over runs of each run's median and
-IQR (seconds), and the output checksum of the first run; `checksum_rel_diff`
-compares the two sides' checksums.
+IQR (seconds), the IQR of the run medians, and the output checksum of the
+first run; `checksum_rel_diff` compares the two sides' checksums.
+
+Per case, `wins` counts the pairs whose change run has the lower median, and
+`verdict` reads `claim` when the change wins at least 9 pairs in 10 and its
+median beats the parent's by more than the IQR of the parent's run medians,
+`regress` when the parent does so against the change, and `unresolved`
+otherwise.
 """
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -27,6 +34,23 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 PAIRS = 10
+DECISIVE_WINS = math.ceil(0.9 * PAIRS)
+
+
+def run_iqr(values):
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
+def verdict(wins, parent, change):
+    """claim, regress or unresolved, from the pair wins and the medians and
+    run-median IQR of each side (see the module docstring)."""
+    gap = parent["median_s"] - change["median_s"]
+    if wins >= DECISIVE_WINS and gap > parent["run_iqr_s"]:
+        return "claim"
+    if PAIRS - wins >= DECISIVE_WINS and -gap > parent["run_iqr_s"]:
+        return "regress"
+    return "unresolved"
 
 
 def run_side(src, path):
@@ -56,14 +80,19 @@ def main(argv=None):
         row = {}
         for side in sides:
             stats = [r[name]["stats"] for r in runs[side]]
-            row[side] = {"median_s": statistics.median(s["median"] for s in stats),
+            medians = [s["median"] for s in stats]
+            row[side] = {"median_s": statistics.median(medians),
                          "iqr_s": statistics.median(s["iqr"] for s in stats),
-                         "run_medians_s": [s["median"] for s in stats],
+                         "run_iqr_s": run_iqr(medians),
+                         "run_medians_s": medians,
                          "rounds": [s["rounds"] for s in stats],
                          "checksum": runs[side][0][name]["extra_info"]["checksum"]}
         a, b = row["parent"]["checksum"], row["change"]["checksum"]
         row["speedup"] = row["parent"]["median_s"] / row["change"]["median_s"]
         row["checksum_rel_diff"] = abs(a - b) / max(abs(a), abs(b), 1e-300)
+        row["wins"] = sum(c < p for p, c in zip(row["parent"]["run_medians_s"],
+                                               row["change"]["run_medians_s"]))
+        row["verdict"] = verdict(row["wins"], row["parent"], row["change"])
         cases[name] = row
     report = {"host": {"cpu_count": os.cpu_count(), "machine": platform.machine(),
                        "python": platform.python_version(), "numpy": numpy.__version__,
@@ -73,9 +102,11 @@ def main(argv=None):
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     for name, row in cases.items():
-        print("%-32s parent %10.1f us  change %10.1f us  x%.2f  checksum diff %.1e"
-              % (name, 1e6 * row["parent"]["median_s"], 1e6 * row["change"]["median_s"],
-                 row["speedup"], row["checksum_rel_diff"]))
+        print("%-32s parent %10.1f us (IQR %7.1f)  change %10.1f us (IQR %7.1f)  x%.2f"
+              "  wins %2d/%d  %-10s  checksum diff %.1e"
+              % (name, 1e6 * row["parent"]["median_s"], 1e6 * row["parent"]["run_iqr_s"],
+                 1e6 * row["change"]["median_s"], 1e6 * row["change"]["run_iqr_s"],
+                 row["speedup"], row["wins"], PAIRS, row["verdict"], row["checksum_rel_diff"]))
 
 
 if __name__ == "__main__":

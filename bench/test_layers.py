@@ -1,5 +1,5 @@
 """Fixed-seed size sweeps of the layers under `realize` -> `kl-factor`, of
-the Riesz projector, of the Blaschke series under `neg_squares`, and of the
+the Riesz projector and the spectral split, of the Blaschke series under `neg_squares`, and of the
 kernel layer: `neg_squares` and `kernel_identity_residuals`.
 
 Each case records in extra_info["checksum"] a float summary of its output,
@@ -44,7 +44,7 @@ from qschur.sampling import (
     random_unitary,
     rng,
 )
-from qschur.sresolvent import ContourSpec, riesz_projector
+from qschur.sresolvent import ContourSpec, riesz_projector, spectral_split
 
 
 def _norms(series):
@@ -144,19 +144,31 @@ def test_realize_kl_factor(benchmark, tmp_path, n):
                                         + sum(s["re"] + s["im"] for s in kl["zero_spheres"]))
 
 
+def _half_inside(gen, n):
+    """A matrix with half its spheres inside the unit circle (moduli 0.1 to
+    0.7) and half outside (1.3 to 2), as in the `spectral` workload."""
+    mods = np.r_[gen.uniform(0.1, 0.7, n // 2), gen.uniform(1.3, 2.0, n - n // 2)]
+    angles = gen.uniform(0.0, np.pi, n)
+    return matrix_with_spectrum(gen, [Quaternion(m * np.cos(t), m * np.sin(t))
+                                      for m, t in zip(mods, angles)])
+
+
 @pytest.mark.parametrize("nodes", [16, 64, 256])
 @pytest.mark.parametrize("n", [8, 16, 32])
 def test_riesz_projector(benchmark, n, nodes):
-    """Projector of the unit circle for a matrix with half its spheres inside
-    (moduli 0.1 to 0.7) and half outside (1.3 to 2), as in the `spectral`
-    workload.  The checksum is ||P||."""
-    gen = rng(600 + n)
-    mods = np.r_[gen.uniform(0.1, 0.7, n // 2), gen.uniform(1.3, 2.0, n - n // 2)]
-    angles = gen.uniform(0.0, np.pi, n)
-    T = matrix_with_spectrum(gen, [Quaternion(m * np.cos(t), m * np.sin(t))
-                                   for m, t in zip(mods, angles)])
+    """Projector of the unit circle; the checksum is ||P||."""
+    T = _half_inside(rng(600 + n), n)
     P = benchmark(riesz_projector, T, ContourSpec(0.0, 1.0, nodes))
     benchmark.extra_info["checksum"] = P.norm()
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_spectral_split(benchmark, n):
+    """The `spectral` workload's operation: projector, basis and restriction
+    for the unit circle at 256 nodes.  The checksum is rank + ||P||."""
+    T = _half_inside(rng(650 + n), n)
+    split = benchmark(spectral_split, T, ContourSpec(0.0, 1.0, 256))
+    benchmark.extra_info["checksum"] = split.rank + split.projector.norm()
 
 
 @pytest.mark.parametrize("degree", [12, 20, 48])

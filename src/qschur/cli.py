@@ -349,15 +349,26 @@ def cmd_verify(args):
 # -- parser ----------------------------------------------------------------------
 
 
-def _count(text):
-    """argparse type of --degree and --mu-max: an integer >= 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0, got %d" % value)
-    return value
+def _number(convert, accept, rule):
+    """argparse type: convert the text, then require accept(value); a value
+    that fails either is a usage error (exit 3)."""
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                "invalid %s value: %r" % (convert.__name__, text)) from None
+        if not accept(value):
+            raise argparse.ArgumentTypeError("must be %s, got %r" % (rule, text))
+        return value
+    return parse
+
+
+_count = _number(int, lambda v: v >= 0, ">= 0")            # --degree, --mu-max
+_size = _number(int, lambda v: v >= 1, ">= 1")             # --random
+_nodes = _number(int, lambda v: v >= 16 and v % 2 == 0,    # --nodes, as ContourSpec
+                 "an even integer >= 16")
+_tol = _number(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
 
 
 def _add_common(p, fmt=True, seed=True, tol=None):
@@ -366,7 +377,7 @@ def _add_common(p, fmt=True, seed=True, tol=None):
     if seed:
         p.add_argument("--seed", type=int, default=0)
     if tol is not None:
-        p.add_argument("--tol", type=float, default=tol)
+        p.add_argument("--tol", type=_tol, default=tol)
 
 
 @functools.lru_cache(maxsize=None)
@@ -381,14 +392,14 @@ def build_parser():
                        parents=[], description="List right-spectrum spheres.")
     p.add_argument("--input", help="matrix JSON file")
     p.add_argument("--demo", help="built-in demo matrix name")
-    p.add_argument("--random", type=int, help="random matrix of this size")
+    p.add_argument("--random", type=_size, help="random matrix of this size")
     _add_common(p, tol=1e-8)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("sspec", help="S-resolvent residuals at a point")
     p.add_argument("--input", help="matrix JSON file")
     p.add_argument("--demo", help="built-in demo matrix name")
-    p.add_argument("--random", type=int, help="random matrix of this size")
+    p.add_argument("--random", type=_size, help="random matrix of this size")
     p.add_argument("--point", required=True, help="quaternion w,x,y,z")
     _add_common(p, tol=1e-12)
     p.set_defaults(func=cmd_sspec)
@@ -424,7 +435,7 @@ def build_parser():
     p.add_argument("--suite", action="append",
                    help="suite name (repeatable; default all)")
     p.add_argument("--list", action="store_true", help="list suite names")
-    p.add_argument("--nodes", type=int, default=256)
+    p.add_argument("--nodes", type=_nodes, default=256)
     p.add_argument("--degree", type=_count, default=40)
     p.add_argument("--mu-max", type=_count, default=8)
     _add_common(p, tol=1.0)

@@ -26,6 +26,7 @@ from scipy.linalg import schur, solve_triangular
 
 from .errors import (
     CompletionFailureError,
+    InvalidSpecError,
     NonFiniteInputError,
     NotDiagonalizableError,
     NotHermitianError,
@@ -365,6 +366,8 @@ def solve(M, rhs, rtol=1e-12):
 
     Raises
     ------
+    NonFiniteInputError
+        If M or rhs holds a NaN or infinite entry.
     SingularMatrixError
         If chi(M) is rank deficient at the stated tolerance.
     """
@@ -375,12 +378,15 @@ def solve(M, rhs, rtol=1e-12):
     if rhs.rows != M.rows:
         raise ShapeError("rhs has %d rows, expected %d" % (rhs.rows, M.rows))
     chi = M.complex_adjoint()
+    b = rhs.complex_adjoint()
+    if not (np.isfinite(chi).all() and np.isfinite(b).all()):
+        raise NonFiniteInputError("solve needs finite matrix and rhs entries")
     sv = np.linalg.svd(chi, compute_uv=False)
     if sv[0] == 0.0 or sv[-1] <= rtol * sv[0]:
         raise SingularMatrixError(
             "matrix is singular at relative tolerance %g (sv ratio %g)"
             % (rtol, 0.0 if sv[0] == 0.0 else sv[-1] / sv[0]))
-    x = np.linalg.solve(chi, rhs.complex_adjoint())
+    x = np.linalg.solve(chi, b)
     return from_complex_adjoint(x)
 
 
@@ -455,6 +461,23 @@ def gram_schmidt_columns(M, rtol=1e-10):
             rank += 1
         norms = np.linalg.norm(X, axis=0)
     return _columns_from_complex(W[:, 0:2 * rank:2], n), rank
+
+
+def _leading_basis(U, k, n):
+    """Orthonormal basis V of the invariant subspace of the n x n matrix T
+    spanned by the leading k Schur vectors of chi(T) = U R U*.
+
+    When the leading k eigenvalues are closed under conjugation, that span is
+    psi of a quaternionic subspace of dimension k / 2 (Golub and Van Loan,
+    Matrix Computations, sec. 7.6, for leading Schur vectors as a basis), so
+    V has k / 2 columns.  Raises RankDeficiencyError otherwise.
+    """
+    V, rank = gram_schmidt_columns(_columns_from_complex(U[:, :k], n))
+    if 2 * rank != k:
+        raise RankDeficiencyError(
+            "%d leading Schur vectors give %d quaternionic directions, expected %d"
+            % (k, rank, k / 2))
+    return V
 
 
 def _column_echelon(M, rtol=1e-10):
@@ -666,7 +689,10 @@ def _eigen_spheres(w, cluster_tol, R=None):
     merged (_merge_unresolved).
 
     Returns a list of (Sphere, multiplicity, indices into w), sorted by (re, im).
+    Raises InvalidSpecError unless cluster_tol is a finite number >= 0.
     """
+    if not (math.isfinite(cluster_tol) and cluster_tol >= 0):
+        raise InvalidSpecError("cluster_tol must be a finite number >= 0, got %r" % cluster_tol)
     tol = cluster_tol * (1.0 + np.abs(w))
     first, second = _conjugate_pairs(w, tol)
     key = np.column_stack([(w.real[first] + w.real[second]) / 2,

@@ -34,7 +34,6 @@ from .errors import (
     NotHermitianError,
     NotInvertibleAtZeroError,
     NotObservableError,
-    RankDeficiencyError,
     ShapeError,
     SpectrumOnUnitSphereError,
     SteinSingularError,
@@ -43,13 +42,12 @@ from .quat import Quaternion, sphere_of
 from .qmatrix import (
     QMatrix,
     _column_echelon,
-    _columns_from_complex,
+    _leading_basis,
     _schur,
     _schur_spheres,
     as_qmatrix,
     block,
     from_complex_adjoint,
-    gram_schmidt_columns,
     herm_eig,
     hstack,
     indefinite_gram_schmidt,
@@ -418,7 +416,9 @@ def krein_langer_factor(R, degree=48, unit_band=1e-8):
     complex Schur form of chi(A) sorted with those eigenvalues first gives
     their invariant subspace in its leading 2 kappa columns; conjugate
     eigenvalues share a modulus, so that span is psi of a quaternionic
-    subspace with orthonormal basis V.  The restriction (V* A V, C V) is
+    subspace, and Gram-Schmidt on those Schur vectors gives its orthonormal
+    basis V (the same leading-Schur-vector basis as spectral_split, for the
+    eigenvalues inside a contour).  The restriction (V* A V, C V) is
     completed to a J-unitary system whose transfer series W is the
     reciprocal product, B = W^{-*} is its star inverse and S0 = B * S has
     no negative squares left.  The zero spheres are the inverses of the
@@ -450,11 +450,7 @@ def krein_langer_factor(R, degree=48, unit_band=1e-8):
     if np.sum(np.abs(np.diag(T)) > 1.0) != 2 * dim:
         raise SpectrumOnUnitSphereError(
             "the eigenvalues of an outside sphere straddle the unit sphere")
-    V, rank = gram_schmidt_columns(_columns_from_complex(U[:, :2 * dim], R.A.rows))
-    if rank != dim:
-        raise RankDeficiencyError(
-            "outside Schur vectors give %d quaternionic directions, expected %d"
-            % (rank, dim))
+    V = _leading_basis(U, 2 * dim, R.A.rows)
     out = j_unitary_complete(V.adjoint() @ R.A @ V, R.C @ V, sigma)
     spec_P, _ = herm_eig(out.P)
     t, s, z = spec_P.signature

@@ -31,7 +31,9 @@ off-diagonal block solves one triangular Sylvester equation (the block
 Parlett recurrence, Higham, Functions of Matrices, 2008, sec. 9.1).  Binary
 powering makes the cost O(log N) triangular products.  The right spectrum of
 T is its point S-spectrum, the eigenvalues of chi(T), so the eigen-spheres
-are read off diag(R) too.
+are read off diag(R) too, and the leading Schur vectors of the reordered form
+span the enclosed invariant subspace: its dimension and basis need no rank
+decision on P.
 """
 
 from __future__ import annotations
@@ -46,17 +48,16 @@ from .errors import (
     ContourOnSpectrumError,
     InvalidSpecError,
     OnSpectrumError,
-    RankDeficiencyError,
     SingularMatrixError,
 )
 from .quat import I_DEFAULT, Quaternion
 from .qmatrix import (
     QMatrix,
+    _leading_basis,
     _schur_spheres,
     as_qmatrix,
     char_operator,
     from_complex_adjoint,
-    range_basis,
     solve,
     solve_right,
 )
@@ -158,24 +159,33 @@ def _inv_triangular(M, what):
 
 
 def _contour_sum(R, U, spheres, spec):
-    """(R, U, F): the Schur form chi(T) = U R U* reordered so that the
+    """(R, U, F, k): the Schur form chi(T) = U R U* reordered so that the k
     eigenvalues inside the contour come first, and F = (I - W^N)^{-1} with
     W = (R - cI)/r, the N-node rule of the projector (module docstring).
 
-    The spheres of T must clear the contour; that band check makes the
-    inside/outside split of diag(R) unambiguous.  With the split W = [[W11,
+    The spheres of T must clear the contour, and the eigenvalues in diag(R)
+    must fall on the side of their sphere, so that k is twice the enclosed
+    multiplicity and the split of diag(R) is the split of the spheres;
+    rounding spreads the eigenvalues of a defective sphere, which may then
+    straddle a contour that the sphere clears.  With the split W = [[W11,
     W12], [0, W22]], F11 = (I - W11^N)^{-1}, F22 = -V^N (I - V^N)^{-1} for
     V = W22^{-1}, and F12 solves W11 F12 - F12 W22 = F11 W12 - W12 F22, since
     F commutes with W.
     """
     band = 1e-6 * spec.radius
-    for sphere, _ in spheres:
-        if abs(spec.offset(sphere)) <= band:
+    enclosed = 0
+    for sphere, mult in spheres:
+        offset = spec.offset(sphere)
+        if abs(offset) <= band:
             raise ContourOnSpectrumError(
                 "contour passes within %g of the spectral sphere %s" % (band, sphere))
+        enclosed += mult if offset < 0 else 0
     c, r, nodes = spec.center, spec.radius, spec.nodes
     inside = np.abs(np.diag(R) - c) < r
     k = int(np.count_nonzero(inside))
+    if k != 2 * enclosed:
+        raise ContourOnSpectrumError(
+            "the eigenvalues of a spectral sphere straddle the contour")
     if not inside[:k].all():  # swaps of 1x1 blocks, which cannot fail
         R, U = ztrsen(inside.astype(np.int32), R, U, job="N")[:2]
     n = len(R)
@@ -191,7 +201,7 @@ def _contour_sum(R, U, spheres, spec):
         W12 = W[:k, k:]
         X, scale, _ = ztrsyl(W[:k, :k], W[k:, k:], F[:k, :k] @ W12 - W12 @ F[k:, k:], isgn=-1)
         F[:k, k:] = X / scale
-    return R, U, F
+    return R, U, F, k
 
 
 def riesz_projector(T, spec, unit=None):
@@ -203,10 +213,10 @@ def riesz_projector(T, spec, unit=None):
     the same Schur form gives the eigen-spheres.  unit, the slice of the
     nodes, has no effect: the rule is the same in every slice.
     Raises ShapeError for non-square T, NonFiniteInputError for NaN or inf
-    entries and ContourOnSpectrumError if a spectral sphere sits on the
-    contour.
+    entries and ContourOnSpectrumError if a spectral sphere, or one of its
+    eigenvalues, sits on the contour.
     """
-    R, U, F = _contour_sum(*_schur_spheres(T), spec)
+    R, U, F, _ = _contour_sum(*_schur_spheres(T), spec)
     return from_complex_adjoint(U @ F @ U.conj().T)
 
 
@@ -217,46 +227,60 @@ def riesz_s_part(T, spec, unit=None):
     every N: chi(T) (I - W^N)^{-1} on the reordered Schur form, at the cost
     of riesz_projector.  unit has no effect, as in riesz_projector.
     """
-    R, U, F = _contour_sum(*_schur_spheres(T), spec)
+    R, U, F, _ = _contour_sum(*_schur_spheres(T), spec)
     return from_complex_adjoint(U @ (R @ F) @ U.conj().T)
 
 
 @dataclass
 class SpectralSplit:
-    """Invariant-subspace data extracted from a Riesz projector."""
+    """Invariant-subspace data of T along a contour.
 
-    projector: QMatrix
-    basis: QMatrix          # orthonormal columns spanning ran(P)
-    rank: int
+    basis spans the exact invariant subspace of the enclosed spectrum (the
+    leading Schur vectors), and rank is its dimension; only the projector
+    carries quadrature error, which quadrature_error bounds for normal T.
+    """
+
+    projector: QMatrix      # the N-node rule P_N of the Riesz projector
+    basis: QMatrix          # orthonormal columns spanning the enclosed subspace
+    rank: int               # its dimension, the enclosed multiplicity
     restriction: QMatrix    # basis* T basis, the enclosed part of T
+    quadrature_error: float  # rho^N / (1 - rho^N), see spectral_split
     inside: list = field(default_factory=list)   # (Sphere, mult) inside
     outside: list = field(default_factory=list)  # (Sphere, mult) outside
 
 
-def spectral_split(T, spec, unit=None, rank_threshold=1e-7):
-    """Split T along the contour: projector, range basis and restriction.
+def spectral_split(T, spec, unit=None):
+    """Split T along the contour: projector, invariant-subspace basis and
+    restriction.
 
-    The rank of the projector is decided on the singular values of its
-    complex adjoint with the absolute threshold rank_threshold; quadrature
-    noise sits orders of magnitude below it for reasonable contours.  unit
-    has no effect, as in riesz_projector.
+    One reordered Schur form chi(T) = U R U* gives everything: the k
+    eigenvalues of diag(R) inside the contour decide the spheres inside, the
+    rank k / 2 and, through the leading k Schur vectors, the orthonormal
+    basis of the enclosed invariant subspace; the projector is the N-node
+    rule of riesz_projector on the same form.  quadrature_error is
+    rho^N / (1 - rho^N) for rho the largest of |lambda - c| / r over the
+    eigenvalues inside and r / |lambda - c| over those outside; for normal T
+    it bounds ||P_N - P||_2, the distance of the projector to the exact
+    one.  It is reported, not enforced.  unit has no effect, as in
+    riesz_projector.
 
     Raises
     ------
+    ContourOnSpectrumError
+        If a spectral sphere, or one of its eigenvalues, sits on the contour.
     RankDeficiencyError
-        If a clean basis of ran(P) cannot be extracted at that rank.
+        If the leading Schur vectors do not give rank quaternionic directions.
     """
     T = as_qmatrix(T)
     R, U, spheres = _schur_spheres(T)
-    R, U, F = _contour_sum(R, U, spheres, spec)
+    R, U, F, k = _contour_sum(R, U, spheres, spec)
     P = from_complex_adjoint(U @ F @ U.conj().T)
-    basis, rank = range_basis(P, rank_threshold)
-    if basis.cols != rank:
-        raise RankDeficiencyError(
-            "projector range extraction got %d of %d directions"
-            % (basis.cols, rank))
+    basis = _leading_basis(U, k, T.rows)
     restriction = basis.adjoint() @ T @ basis
+    d = np.abs(np.diag(R) - spec.center) / spec.radius
+    rho_n = max(d[:k].max(initial=0.0), (1.0 / d[k:]).max(initial=0.0)) ** spec.nodes
+    error = rho_n / (1.0 - rho_n) if rho_n < 1.0 else math.inf
     inside, outside = [], []
     for sphere, mult in spheres:
         (inside if spec.encloses(sphere) else outside).append((sphere, mult))
-    return SpectralSplit(P, basis, rank, restriction, inside, outside)
+    return SpectralSplit(P, basis, k // 2, restriction, float(error), inside, outside)

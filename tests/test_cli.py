@@ -126,6 +126,43 @@ def test_negative_degree_or_mu_max_exits_3(argv, capsys):
     assert "must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, rule", [
+    (["spectrum", "--random", "0"], ">= 1"),
+    (["spectrum", "--random", "-1"], ">= 1"),
+    (["sspec", "--random", "0", "--point", "2"], ">= 1"),
+    (["verify", "--nodes", "0"], "an even integer >= 16"),
+    (["verify", "--nodes", "17"], "an even integer >= 16"),
+    (["verify", "--nodes", "14"], "an even integer >= 16"),
+    (["spectrum", "--random", "3", "--tol", "nan"], "a finite number >= 0"),
+    (["sspec", "--random", "3", "--point", "2", "--tol", "inf"], "a finite number >= 0"),
+    (["negsq", "--input", "s.json", "--tol", "-1"], "a finite number >= 0"),
+    (["realize", "--demo", "moebius", "--tol", "nan"], "a finite number >= 0"),
+    (["kl-factor", "--demo", "reciprocal", "--tol", "nan"], "a finite number >= 0"),
+    (["verify", "--tol", "nan"], "a finite number >= 0"),
+])
+def test_out_of_range_number_exits_3(argv, rule, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 3
+    assert "must be %s" % rule in capsys.readouterr().err
+
+
+def test_verify_nodes_at_the_contour_minimum_runs(capsys):
+    """16 nodes leave the projector far from idempotent, but the rank of the
+    split is read off the Schur form, not off the projector."""
+    _, out, _ = run(capsys, ["verify", "--suite", "projector", "--nodes", "16"])
+    assert "[PASS] projector/split-rank" in out
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 in Q_s(T)
+def test_sspec_overflowing_point_exits_1(capsys):
+    """|s|^2 overflows to inf in Q_s(T); solve reports it as non-finite
+    input instead of a LinAlgError from the SVD."""
+    rc, _, err = run(capsys, ["sspec", "--random", "2", "--point", "1e308"])
+    assert rc == 1
+    assert err.startswith("numeric failure:") and "finite" in err
+
+
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
 

@@ -14,6 +14,7 @@ from hypothesis import assume, given, strategies as st
 from qschur import (
     CompletionFailureError,
     ContourSpec,
+    InvalidSpecError,
     QMatrix,
     Quaternion,
     QI,
@@ -149,6 +150,23 @@ def test_solve_singular_raises():
         solve(A, QMatrix.eye(2))
     with pytest.raises(SingularMatrixError):
         inverse(A)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 in Q_s(T)
+def test_solve_rejects_non_finite_input():
+    """An inf or NaN in M or rhs is reported before the SVD, which would
+    otherwise fail to converge or return NaN silently."""
+    A = random_qmatrix(rng(13), 3)
+    for bad in (np.inf, np.nan):
+        a = A._a.copy()
+        a[1, 2] = bad
+        with pytest.raises(NonFiniteInputError):
+            solve(QMatrix(a, A._b), QMatrix.eye(3))
+        with pytest.raises(NonFiniteInputError):
+            solve(A, QMatrix(a, A._b))
+    # |s|^2 overflows in Q_s(T) for |s| = 1e308
+    with pytest.raises(NonFiniteInputError):
+        solve(char_operator(A, Quaternion(1e308)), QMatrix.eye(3))
 
 
 def test_inverse():
@@ -320,6 +338,15 @@ def test_spectrum_rejects_non_square_and_non_finite_input():
             call(T)
         with pytest.raises(ShapeError):
             call(random_qmatrix(rng(0), 2, 3))
+
+
+@pytest.mark.parametrize("cluster_tol", [float("nan"), float("inf"), -1e-8])
+def test_spheres_reject_bad_cluster_tol(cluster_tol):
+    """A NaN tolerance used to merge every eigenvalue into one sphere."""
+    T = matrix_with_spectrum(rng(14), [Quaternion(0.5), Quaternion(0.1, 0.7), Quaternion(2.0)])
+    for call in (right_eigen_spheres, right_eigen_decomposition):
+        with pytest.raises(InvalidSpecError):
+            call(T, cluster_tol=cluster_tol)
 
 
 def test_from_dict_rejects_non_finite_entries():

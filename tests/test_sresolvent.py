@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import PROPERTY
+from conftest import PROPERTY, jordan_matrix
 from hypothesis import given, strategies as st
 
 from qschur import (
@@ -18,6 +18,7 @@ from qschur import (
     InvalidSpecError,
     OnSpectrumError,
     QMatrix,
+    QschurError,
     Quaternion,
     QJ,
     ShapeError,
@@ -335,3 +336,59 @@ def test_spectral_split_union_is_whole_spectrum():
     assert [m for _, m in split.inside] == [2] and [m for _, m in split.outside] == [1]
     assert split.inside[0][0].isclose(Sphere(0.3, 0.4), tol=1e-9)
     assert split.outside[0][0].isclose(Sphere(1.8, 0.0), tol=1e-9)
+
+
+@pytest.mark.parametrize("center, radius", [(0.0, 1.0), (0.5, 0.8)])
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_spectral_split_rank_is_the_enclosed_multiplicity(n, center, radius):
+    """Dense random T with eigenvalues spread over the disc of radius about
+    1/sqrt(2), so that some sit close to the contour, where the 256-node
+    projector is far from idempotent: rank and basis still follow the
+    enclosed spheres, and the basis spans an invariant subspace."""
+    spec = ContourSpec(center, radius, 256)
+    for seed in range(10):
+        T = random_qmatrix(rng(seed), n, scale=1.0 / math.sqrt(2 * n))
+        split = spectral_split(T, spec)
+        V = split.basis
+        assert split.rank == sum(m for _, m in split.inside) == V.cols
+        assert (T @ V - V @ split.restriction).norm() <= 1e-12 * (1.0 + T.norm())
+        got = right_eigen_spheres(split.restriction)
+        assert [m for _, m in got] == [m for _, m in split.inside]
+        for (a, _), (b, _) in zip(got, split.inside):
+            assert a.isclose(b, tol=1e-7)
+
+
+@pytest.mark.parametrize("nodes", [16, 32, 64])
+def test_spectral_split_quadrature_error_bounds_normal_projector(nodes):
+    """For normal T, P_N - P is diagonal in the eigenvectors with entries
+    w^N / (1 - w^N) inside and their analogue outside, so ||P_N - P||_2 lies
+    between rho^N / (1 + rho^N) and quadrature_error = rho^N / (1 - rho^N)."""
+    g = rng(59)
+    mods = [0.7, 0.8, 0.9, 1.1, 1.2, 1.3]
+    T = matrix_with_spectrum(g, [Quaternion(m * math.cos(t), m * math.sin(t))
+                                 for m, t in zip(mods, g.uniform(0.0, math.pi, len(mods)))])
+    split = spectral_split(T, ContourSpec(0.0, 1.0, nodes))
+    chi = T.complex_adjoint()
+    w, X = np.linalg.eig(chi)
+    inside = np.abs(w) < 1.0
+    P = X[:, inside] @ np.linalg.inv(X)[inside, :]
+    gap = np.linalg.norm(split.projector.complex_adjoint() - P, 2)
+    rho_n = max(0.9, 1.0 / 1.1) ** nodes
+    assert rho_n / (1.0 + rho_n) - 1e-13 <= gap <= split.quadrature_error + 1e-13
+    assert math.isclose(split.quadrature_error, rho_n / (1.0 - rho_n), rel_tol=1e-12)
+
+
+def test_spectral_split_refuses_a_defective_sphere_spread_across_the_contour():
+    """A Jordan block of size 6 at 1.001: rounding spreads its eigenvalues by
+    about eps^(1/6), so some fall inside the unit circle although the sphere
+    clears it.  The projector of that split is not idempotent and no rank
+    fits the spheres, so both calls raise.  At size 8 the spread also splits
+    the sphere, and the inside eigenvalues are not closed under conjugation."""
+    spec = ContourSpec(0.0, 1.0, 256)
+    T = jordan_matrix(rng(1), [(Quaternion(1.001), 6), (Quaternion(0.2), 1)], 10.0)
+    for call in (riesz_projector, spectral_split):
+        with pytest.raises(ContourOnSpectrumError):
+            call(T, spec)
+    T = jordan_matrix(rng(1), [(Quaternion(1.001), 8), (Quaternion(0.2), 1)], 10.0)
+    with pytest.raises(QschurError):
+        spectral_split(T, spec)
