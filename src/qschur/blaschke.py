@@ -128,26 +128,18 @@ class BlaschkeProduct:
     realization: Realization  # the cascade of the factors
     zeros: list = field(default_factory=list)  # zeros as originally prescribed
 
-    @property
-    def degree_count(self):
-        """Total zero count, spheres counting twice."""
-        return sum(2 if kind == "sphere" else 1 for kind, _ in self.factors)
-
     def value(self, p):
         """Exact product value."""
         return _value(self.realization, p)
 
 
-def blaschke_product(zeros, degree=DEFAULT_DEGREE, degenerate_tol=1e-12):
+def blaschke_product(zeros, degree=DEFAULT_DEGREE):
     """Build a star product vanishing at the prescribed zeros, in order.
 
     Parameters
     ----------
     zeros : iterable of Quaternion (point zeros) and/or Sphere (spherical zeros)
     degree : truncation degree of the returned series
-    degenerate_tol : float
-        A new point zero must not already annihilate the partial product;
-        below this threshold the conjugating value is unusable.
 
     Returns
     -------
@@ -157,7 +149,9 @@ def blaschke_product(zeros, degree=DEFAULT_DEGREE, degenerate_tol=1e-12):
     ------
     InvalidModulusError  for zeros on or outside the unit sphere
     NonFiniteInputError  for zeros with a NaN or infinite component
-    DegenerateChoiceError when a prescribed zero is already a zero so far
+    DegenerateChoiceError when a prescribed point zero already annihilates
+                          the partial product (a value of modulus at most
+                          1e-12, which cannot conjugate the next parameter)
     """
     zeros = list(zeros)
     factors = []
@@ -170,7 +164,7 @@ def blaschke_product(zeros, degree=DEFAULT_DEGREE, degenerate_tol=1e-12):
             a = _parameter(z)
             if R is not None:
                 lam = _value(R, a)
-                if abs(lam) <= degenerate_tol:
+                if abs(lam) <= 1e-12:
                     raise DegenerateChoiceError(
                         "prescribed zero %s already annihilates the partial product" % (a,))
                 a = lam.inverse() * a * lam

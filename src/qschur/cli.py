@@ -369,15 +369,16 @@ _size = _number(int, lambda v: v >= 1, ">= 1")             # --random
 _nodes = _number(int, lambda v: v >= 16 and v % 2 == 0,    # --nodes, as ContourSpec
                  "an even integer >= 16")
 _tol = _number(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
+_rel_tol = _number(float, lambda v: 0 <= v < 1, "a finite number >= 0 and below 1")
 
 
-def _add_common(p, fmt=True, seed=True, tol=None):
+def _add_common(p, fmt=True, seed=True, tol=None, relative=False):
     if fmt:
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     if seed:
         p.add_argument("--seed", type=int, default=0)
     if tol is not None:
-        p.add_argument("--tol", type=_tol, default=tol)
+        p.add_argument("--tol", type=_rel_tol if relative else _tol, default=tol)
 
 
 @functools.lru_cache(maxsize=None)
@@ -393,7 +394,7 @@ def build_parser():
     p.add_argument("--input", help="matrix JSON file")
     p.add_argument("--demo", help="built-in demo matrix name")
     p.add_argument("--random", type=_size, help="random matrix of this size")
-    _add_common(p, tol=1e-8)
+    _add_common(p, tol=1e-8, relative=True)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("sspec", help="S-resolvent residuals at a point")
@@ -401,7 +402,7 @@ def build_parser():
     p.add_argument("--demo", help="built-in demo matrix name")
     p.add_argument("--random", type=_size, help="random matrix of this size")
     p.add_argument("--point", required=True, help="quaternion w,x,y,z")
-    _add_common(p, tol=1e-12)
+    _add_common(p, tol=1e-12, relative=True)
     p.set_defaults(func=cmd_sspec)
 
     p = sub.add_parser("negsq", help="negative squares of a series kernel")

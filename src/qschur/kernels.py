@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import NonFiniteInputError, NotHermitianError, ShapeError
 from .quat import Quaternion
-from .qmatrix import QMatrix, as_qmatrix
+from .qmatrix import QMatrix, _check_tol, as_qmatrix
 from .series import SliceSeries, lower_toeplitz
 
 
@@ -54,9 +54,6 @@ class KernelCoeffs:
         """The Hermitian section A_mu = [a_{n,m}]_{n,m=0..mu}."""
         diag, prod = self._terms(mu)
         return diag - prod
-
-    def hermitian_defect(self, mu):
-        return self.block_matrix(mu).herm_defect()
 
     def value(self, p, q, degree):
         """Truncated kernel value sum_{n,m<=degree} p^n a_{n,m} conj(q)^m, as
@@ -92,8 +89,7 @@ def _section_value(A, p, q, degree):
     return row @ A @ col
 
 
-def schur_kernel_coeffs(S, sigma1=None, sigma2=None):
-    return KernelCoeffs(S, sigma1, sigma2)
+_WINDOW = 3  # sections that must agree for a stabilized count
 
 
 @dataclass
@@ -103,7 +99,7 @@ class NegSquares:
     counts: list
     kappa: int
     stabilized: bool
-    window: int = 3
+    window: int = _WINDOW
     tols: list = field(default_factory=list)
 
     def table(self):
@@ -129,7 +125,7 @@ def _interleaved_chi(M):
     return X.reshape(2 * r, 2 * c)
 
 
-def neg_squares(S, sigma1=None, sigma2=None, mu_max=12, tol=None, window=3):
+def neg_squares(S, sigma1=None, sigma2=None, mu_max=12, tol=None):
     """Count negative squares by sweeping kernel sections.
 
     Parameters
@@ -138,17 +134,19 @@ def neg_squares(S, sigma1=None, sigma2=None, mu_max=12, tol=None, window=3):
     sigma1, sigma2 : QMatrix signatures (identity when omitted)
     mu_max : last section index to inspect
     tol : float, optional
-        Eigenvalue zero-threshold.  The default, per section A_mu of
-        complex dimension N, is 1e-8 * max|eigenvalue|, but at least the
-        rounding level N * eps * (||I (x) sigma2|| + ||L (I (x) sigma1) L*||)
-        (Frobenius norms of the section's two terms), so that a section
-        that cancels to rounding noise counts no negative squares.
-    window : int
-        The count is declared stabilized when the last `window` sections
-        agree and equal the maximum.
+        Eigenvalue zero-threshold, a finite number >= 0.  The default, per
+        section A_mu of complex dimension N, is 1e-8 * max|eigenvalue|, but
+        at least the rounding level
+        N * eps * (||I (x) sigma2|| + ||L (I (x) sigma1) L*||) (Frobenius
+        norms of the section's two terms), so that a section that cancels to
+        rounding noise counts no negative squares.
 
-    Returns NegSquares.
+    Returns NegSquares.  The count is declared stabilized when the last 3
+    sections (NegSquares.window) agree and equal the maximum.  Raises
+    InvalidSpecError if tol is neither None nor a finite number >= 0.
     """
+    if tol is not None:
+        _check_tol("tol", tol, relative=False)
     if mu_max + 1 > S.degree + 1:
         mu_max = S.degree
     diag, prod = KernelCoeffs(S, sigma1, sigma2)._terms(max(mu_max, 0))
@@ -169,6 +167,6 @@ def neg_squares(S, sigma1=None, sigma2=None, mu_max=12, tol=None, window=3):
         counts.append(int(np.sum(lam < -t)))
         tols.append(t)
     kappa = max(counts) if counts else 0
-    tail = counts[-window:]
-    stabilized = len(counts) >= window and all(c == kappa for c in tail)
-    return NegSquares(counts, kappa, stabilized, window, tols)
+    tail = counts[-_WINDOW:]
+    stabilized = len(counts) >= _WINDOW and all(c == kappa for c in tail)
+    return NegSquares(counts, kappa, stabilized, _WINDOW, tols)

@@ -37,6 +37,13 @@ from .errors import (
 )
 from .quat import Quaternion, Sphere
 
+# fixed relative tolerances
+_INVERTIBLE_RTOL = 1e-10     # is_invertible: smallest over largest singular value
+_NULL_RTOL = 1e-10           # null_basis: singular values that count as zero
+_NEUTRAL_TOL = 1e-10         # indefinite_gram_schmidt: neutral Gram eigenvalues
+_CLUSTER_TOL = 1e-8          # eigen-sphere width, relative to 1 + modulus
+_EIGVEC_COND_TOL = 1e-8      # right_eigen_decomposition: eigenvector basis rank
+
 
 class QMatrix:
     """Immutable dense matrix over the quaternions."""
@@ -325,16 +332,6 @@ def block(rows):
     return vstack([hstack(r) for r in rows])
 
 
-def matrix_power(A, k):
-    A = as_qmatrix(A)
-    if not A.is_square():
-        raise ShapeError("matrix power needs a square matrix")
-    out = QMatrix.eye(A.rows)
-    for _ in range(k):
-        out = out @ A
-    return out
-
-
 def singular_values(M):
     return np.linalg.svd(as_qmatrix(M).complex_adjoint(), compute_uv=False)
 
@@ -344,9 +341,19 @@ def smallest_singular_value(M):
     return float(s[-1]) if len(s) else 0.0
 
 
-def is_invertible(M, rtol=1e-10):
+def _check_tol(name, value, relative):
+    """Raise InvalidSpecError unless value is a finite number >= 0, and also
+    below 1 when it is relative (a fraction of some norm)."""
+    if not (math.isfinite(value) and value >= 0 and (value < 1 or not relative)):
+        raise InvalidSpecError("%s must be a finite number >= 0%s, got %r"
+                               % (name, " and below 1" if relative else "", value))
+
+
+def is_invertible(M):
+    """Whether the smallest singular value of chi(M) exceeds _INVERTIBLE_RTOL
+    times the largest; relative, so it does not change when M is rescaled."""
     s = singular_values(M)
-    return bool(len(s)) and s[-1] > rtol * max(1.0, s[0])
+    return bool(len(s)) and s[-1] > _INVERTIBLE_RTOL * s[0]
 
 
 def solve(M, rhs, rtol=1e-12):
@@ -366,11 +373,14 @@ def solve(M, rhs, rtol=1e-12):
 
     Raises
     ------
+    InvalidSpecError
+        Unless 0 <= rtol < 1.
     NonFiniteInputError
         If M or rhs holds a NaN or infinite entry.
     SingularMatrixError
         If chi(M) is rank deficient at the stated tolerance.
     """
+    _check_tol("rtol", rtol, relative=True)
     M = as_qmatrix(M)
     rhs = as_qmatrix(rhs)
     if not M.is_square():
@@ -395,9 +405,9 @@ def solve_right(M, rhs, rtol=1e-12):
     return solve(as_qmatrix(M).adjoint(), as_qmatrix(rhs).adjoint(), rtol).adjoint()
 
 
-def inverse(M, rtol=1e-12):
+def inverse(M):
     M = as_qmatrix(M)
-    return solve(M, QMatrix.eye(M.rows), rtol)
+    return solve(M, QMatrix.eye(M.rows))
 
 
 def char_operator(T, s):
@@ -427,13 +437,15 @@ def gram_schmidt_columns(M, rtol=1e-10):
     Hermitian inner product [u, v] = v* u and span the column space of M.
     Each step takes the remaining column of largest norm, orthogonalizes it
     once more against the accepted columns and drops it if its norm is then
-    at most rtol times the largest column norm of M.
+    at most rtol times the largest column norm of M.  Raises InvalidSpecError
+    unless 0 <= rtol < 1.
 
     The columns are worked on as psi(v) (module docstring).  The quaternionic
     line of a unit q is the complex span of the orthonormal pair psi(q),
     psi(q j), so projecting q out of the remaining columns C is one product
     with q* C and one rank-one (complex rank-two) update.
     """
+    _check_tol("rtol", rtol, relative=True)
     M = as_qmatrix(M)
     n = M.rows
     X = np.concatenate([M._a, -np.conj(M._b)])
@@ -480,7 +492,7 @@ def _leading_basis(U, k, n):
     return V
 
 
-def _column_echelon(M, rtol=1e-10):
+def _column_echelon(M):
     """M Q for the unitary Q that puts M in pivoted column echelon form.
 
     Column k of M Q is zero in the pivot rows of the columns before it and
@@ -493,13 +505,13 @@ def _column_echelon(M, rtol=1e-10):
 
     Raises RankDeficiencyError if M has dependent columns.
     """
-    Q, rank = gram_schmidt_columns(M.adjoint(), rtol)
+    Q, rank = gram_schmidt_columns(M.adjoint())
     if rank < M.cols:
         raise RankDeficiencyError("column echelon form needs independent columns")
     return M @ Q
 
 
-def indefinite_gram_schmidt(M, J, neutral_tol=1e-10):
+def indefinite_gram_schmidt(M, J):
     """Orthonormalize columns under the indefinite metric [u, v] = v* J u.
 
     One Hermitian congruence of a Gram matrix: each column m_j is first
@@ -517,7 +529,7 @@ def indefinite_gram_schmidt(M, J, neutral_tol=1e-10):
     Raises
     ------
     CompletionFailureError
-        If G has an eigenvalue of modulus at most neutral_tol: a numerically
+        If G has an eigenvalue of modulus at most _NEUTRAL_TOL: a numerically
         neutral direction, a zero column, or dependent columns.
     """
     M = as_qmatrix(M)
@@ -529,7 +541,7 @@ def indefinite_gram_schmidt(M, J, neutral_tol=1e-10):
     d = ((absJ @ absM) * absM).sum(axis=0)
     d[d == 0.0] = 1.0                          # a zero column stays zero, and neutral
     Ms = QMatrix(M._a / np.sqrt(d), M._b / np.sqrt(d), copy=False)
-    spec, X = herm_eig(Ms.adjoint() @ J @ Ms, tol=neutral_tol)
+    spec, X = herm_eig(Ms.adjoint() @ J @ Ms, tol=_NEUTRAL_TOL)
     t, r, z = spec.signature
     if z:
         raise CompletionFailureError(
@@ -538,12 +550,13 @@ def indefinite_gram_schmidt(M, J, neutral_tol=1e-10):
     return solve_right(X.adjoint(), Ms), [1.0] * t + [-1.0] * r
 
 
-def null_basis(M, rtol=1e-10):
-    """Quaternionic orthonormal basis of ker(M) (possibly zero columns)."""
+def null_basis(M):
+    """Quaternionic orthonormal basis of ker(M) (possibly zero columns); a
+    singular value of chi(M) at most _NULL_RTOL times the largest counts as zero."""
     M = as_qmatrix(M)
     chi = M.complex_adjoint()
     u, sv, vh = np.linalg.svd(chi)
-    zero = sv <= rtol * (sv[0] if len(sv) and sv[0] > 0 else 1.0)
+    zero = sv <= _NULL_RTOL * (sv[0] if len(sv) and sv[0] > 0 else 1.0)
     take = [i for i in range(vh.shape[0]) if i >= len(sv) or zero[i]]
     if not take:
         return QMatrix.zeros(M.cols, 0)
@@ -558,8 +571,9 @@ def range_basis(M, threshold):
     The threshold is absolute.  Each singular value of M appears twice among
     those of chi(M), equal up to rounding; the rank counts the pairs whose
     mean exceeds the threshold, so the two copies are kept or dropped
-    together.
+    together.  Raises InvalidSpecError unless threshold is a finite number >= 0.
     """
+    _check_tol("threshold", threshold, relative=False)
     M = as_qmatrix(M)
     u, sv, vh = np.linalg.svd(M.complex_adjoint())
     rank = int(np.sum((sv[0::2] + sv[1::2]) / 2 > threshold))
@@ -689,10 +703,9 @@ def _eigen_spheres(w, cluster_tol, R=None):
     merged (_merge_unresolved).
 
     Returns a list of (Sphere, multiplicity, indices into w), sorted by (re, im).
-    Raises InvalidSpecError unless cluster_tol is a finite number >= 0.
+    Raises InvalidSpecError unless 0 <= cluster_tol < 1.
     """
-    if not (math.isfinite(cluster_tol) and cluster_tol >= 0):
-        raise InvalidSpecError("cluster_tol must be a finite number >= 0, got %r" % cluster_tol)
+    _check_tol("cluster_tol", cluster_tol, relative=True)
     tol = cluster_tol * (1.0 + np.abs(w))
     first, second = _conjugate_pairs(w, tol)
     key = np.column_stack([(w.real[first] + w.real[second]) / 2,
@@ -729,7 +742,7 @@ def _schur(T, sort=None):
     return R, U
 
 
-def _schur_spheres(T, cluster_tol=1e-8, sort=None):
+def _schur_spheres(T, cluster_tol=_CLUSTER_TOL, sort=None):
     """(R, U, spheres): the Schur form of _schur and the eigen-spheres of T
     with multiplicities, read off diag(R).
 
@@ -741,7 +754,7 @@ def _schur_spheres(T, cluster_tol=1e-8, sort=None):
     return R, U, spheres
 
 
-def right_eigen_spheres(T, cluster_tol=1e-8):
+def right_eigen_spheres(T, cluster_tol=_CLUSTER_TOL):
     """Eigenvalue spheres of the right spectrum with multiplicities.
 
     Eigenvalues of chi(T), read off its complex Schur form, come in
@@ -750,18 +763,20 @@ def right_eigen_spheres(T, cluster_tol=1e-8):
     more than cluster_tol * (1 + modulus) unless its eigenvalues are too
     ill-conditioned to tell apart (a defective sphere).
 
-    Returns a list of (Sphere, multiplicity), sorted by (re, im).
+    Returns a list of (Sphere, multiplicity), sorted by (re, im).  Raises
+    InvalidSpecError unless 0 <= cluster_tol < 1.
     """
     return _schur_spheres(T, cluster_tol)[2]
 
 
-def right_eigen_decomposition(T, cluster_tol=1e-8, cond_tol=1e-8):
+def right_eigen_decomposition(T):
     """Spheres, slice representatives and eigenvector bases of a square matrix.
 
     Returns (parts, V) where parts is a list of (Sphere, rep, basis): rep is
     the representative eigenvalue in the i-slice with nonnegative imaginary
     part, and basis an n x mult QMatrix with T basis = basis * rep columnwise.
-    V stacks all bases.
+    V stacks all bases.  Spheres are clustered at _CLUSTER_TOL, and V counts
+    as singular when its singular value ratio is at most _EIGVEC_COND_TOL.
 
     Raises
     ------
@@ -774,9 +789,9 @@ def right_eigen_decomposition(T, cluster_tol=1e-8, cond_tol=1e-8):
         raise ShapeError("eigendecomposition of a non-square matrix")
     w, U = np.linalg.eig(T.complex_adjoint())
     parts = []
-    for sphere, mult, grp in _eigen_spheres(w, cluster_tol):
+    for sphere, mult, grp in _eigen_spheres(w, _CLUSTER_TOL):
         re, im = sphere.re, sphere.im_mag
-        if im <= cluster_tol * (1.0 + math.hypot(re, im)):
+        if im <= _CLUSTER_TOL * (1.0 + math.hypot(re, im)):
             # real sphere: the eigenspace is a genuine quaternionic subspace
             cand = _columns_from_complex(U[:, grp], n)
             basis, got = gram_schmidt_columns(cand, rtol=1e-8)
@@ -801,7 +816,7 @@ def right_eigen_decomposition(T, cluster_tol=1e-8, cond_tol=1e-8):
         raise NotDiagonalizableError("eigenvectors do not span")
     V = hstack([p[2] for p in parts])
     sv = singular_values(V)
-    if sv[-1] <= cond_tol * sv[0]:
+    if sv[-1] <= _EIGVEC_COND_TOL * sv[0]:
         raise NotDiagonalizableError(
             "eigenvector basis numerically singular (sv ratio %g)" % (sv[-1] / sv[0]))
     return parts, V
@@ -838,8 +853,8 @@ def herm_eig(H, tol=None):
     ----------
     H : QMatrix, Hermitian within 1e-10 * (1 + ||H||).
     tol : float, optional
-        Threshold at or below which |eigenvalue| counts as zero.  Defaults to
-        1e-8 * max|eigenvalue|.
+        Threshold at or below which |eigenvalue| counts as zero: a finite
+        number >= 0, or None for 1e-8 * max|eigenvalue|.
 
     Returns
     -------
@@ -849,8 +864,11 @@ def herm_eig(H, tol=None):
 
     Raises
     ------
+    InvalidSpecError if tol is neither None nor a finite number >= 0.
     NotHermitianError if the input is not Hermitian at tolerance.
     """
+    if tol is not None:
+        _check_tol("tol", tol, relative=False)
     H = as_qmatrix(H)
     if not H.is_square():
         raise ShapeError("herm_eig needs a square matrix")
@@ -902,13 +920,3 @@ def signature_blocks(t, r, s, n=None):
     """diag(I_t, -I_r, 0_s) as a QMatrix."""
     vals = [1.0] * t + [-1.0] * r + [0.0] * s
     return QMatrix.diag([Quaternion(v) for v in vals])
-
-
-def is_signature_matrix(sig, tol=1e-8):
-    """Hermitian involution test: sig = sig* and sig^2 = I within tol."""
-    sig = as_qmatrix(sig)
-    if not sig.is_square():
-        return False
-    n = sig.rows
-    return (sig.herm_defect() <= tol * (1.0 + sig.norm())
-            and (sig @ sig - QMatrix.eye(n)).norm() <= tol * (1.0 + sig.norm()))

@@ -38,12 +38,6 @@ class Quaternion:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def from_list(cls, xs):
-        if len(xs) != 4:
-            raise ValueError("expected four components, got %d" % len(xs))
-        return cls(*xs)
-
-    @classmethod
     def from_complex(cls, z):
         """Embed a complex number into the i-slice."""
         z = complex(z)
@@ -296,11 +290,6 @@ def sphere_of(p):
     """The similarity orbit [p] of a quaternion."""
     x0, x1, _ = slice_decompose(p)
     return Sphere(x0, x1)
-
-
-def char_poly_value(s):
-    """Value of q -> q^2 - 2*Re(s)*q + |s|^2 at q = s; zero for every s."""
-    return s * s - (2.0 * s.x0) * s + Quaternion(s.norm_sq())
 
 
 def quaternion_in_slice(x, y, unit):

@@ -128,7 +128,7 @@ class Realization:
         return cls(get("A"), get("B"), get("C"), get("D"), get("sigma"), get("P"))
 
 
-def stein_solve(A, C, sigma, rtol=1e-10):
+def stein_solve(A, C, sigma):
     """Hermitian solution of P - A* P A = C* sigma C.
 
     Solved on the complex adjoint from its complex Schur form
@@ -139,8 +139,8 @@ def stein_solve(A, C, sigma, rtol=1e-10):
 
     Returns
     -------
-    (P, invertible) : the Hermitian solution and whether it is invertible
-    at relative tolerance rtol.
+    (P, invertible) : the Hermitian solution and whether it is invertible,
+    by is_invertible (smallest singular value above 1e-10 times the largest).
 
     Raises
     ------
@@ -182,7 +182,7 @@ def stein_solve(A, C, sigma, rtol=1e-10):
     res = (P - A.adjoint() @ P @ A - Q).norm()
     if res > 1e-6 * (1.0 + Q.norm()):
         raise SteinSingularError("Stein solve failed (residual %g)" % res)
-    return P, is_invertible(P, rtol)
+    return P, is_invertible(P)
 
 
 def _phase_normalize_columns(Y):
@@ -319,7 +319,7 @@ def kernel_identity_residuals(R, pairs, degree=64):
         raise ShapeError("the kernel identity needs the Stein solution P, "
                          "which this realization does not carry")
     S = realization_series(R, degree)
-    A = _kernels.schur_kernel_coeffs(S, sigma1=R.sigma, sigma2=R.sigma).block_matrix(degree)
+    A = _kernels.KernelCoeffs(S, R.sigma, R.sigma).block_matrix(degree)
     Pinv = inverse(R.P)
     out = []
     for p, q in pairs:
@@ -329,11 +329,6 @@ def kernel_identity_residuals(R, pairs, degree=64):
         rhs = Wp @ Pinv @ Wq.adjoint()
         out.append((lhs - rhs).norm())
     return out
-
-
-def kernel_identity_residual(R, p, q, degree=64):
-    """Single-pair version of kernel_identity_residuals."""
-    return kernel_identity_residuals(R, [(p, q)], degree)[0]
 
 
 def realization_sigma_I(A, C):
@@ -405,10 +400,12 @@ class KLFactorization:
     schur_series: SliceSeries      # S0 = W^{-*} * S
     zero_spheres: list             # (Sphere, multiplicity) of the product zeros
     outside: Realization           # completed realization behind w_series
-    unit_band: float = 1e-8
 
 
-def krein_langer_factor(R, degree=48, unit_band=1e-8):
+_UNIT_BAND = 1e-8  # spheres this close to the unit sphere are refused
+
+
+def krein_langer_factor(R, degree=48):
     """Split a realized function into a reciprocal product and a plain part.
 
     The eigenvalue spheres of the state matrix outside the unit sphere
@@ -427,7 +424,7 @@ def krein_langer_factor(R, degree=48, unit_band=1e-8):
     Raises
     ------
     SpectrumOnUnitSphereError  if an eigenvalue sphere sits within
-                               unit_band of the unit sphere, or the
+                               1e-8 of the unit sphere, or the
                                eigenvalues of one sphere straddle it
     RankDeficiencyError        if the outside Schur vectors do not give
                                kappa quaternionic directions
@@ -437,23 +434,28 @@ def krein_langer_factor(R, degree=48, unit_band=1e-8):
     sigma = R.sigma if R.sigma is not None else QMatrix.eye(R.C.rows)
     T, U, spheres = _schur_spheres(R.A, sort="ouc")
     for sphere, _ in spheres:
-        if abs(sphere.modulus() - 1.0) <= unit_band:
+        if abs(sphere.modulus() - 1.0) <= _UNIT_BAND:
             raise SpectrumOnUnitSphereError(
                 "state spectrum sphere %s within %g of the unit sphere"
-                % (sphere, unit_band))
+                % (sphere, _UNIT_BAND))
     outside = [(sphere, mult) for sphere, mult in spheres if sphere.modulus() > 1.0]
     S = realization_series(R, degree)
     if not outside:
         one = SliceSeries.one(degree, R.D.rows)
-        return KLFactorization(0, one, one, S, [], None, unit_band)
+        return KLFactorization(0, one, one, S, [], None)
     dim = sum(mult for _, mult in outside)
     if np.sum(np.abs(np.diag(T)) > 1.0) != 2 * dim:
         raise SpectrumOnUnitSphereError(
             "the eigenvalues of an outside sphere straddle the unit sphere")
     V = _leading_basis(U, 2 * dim, R.A.rows)
     out = j_unitary_complete(V.adjoint() @ R.A @ V, R.C @ V, sigma)
-    spec_P, _ = herm_eig(out.P)
-    t, s, z = spec_P.signature
+    # the signature of P from the eigenvalues of chi(P), one per duplicate
+    # pair; j_unitary_complete has already refused eigenvalues near zero
+    w = np.linalg.eigvalsh(out.P.complex_adjoint())
+    pairs = (w[0::2] + w[1::2]) / 2
+    tol = 1e-8 * np.abs(w).max()
+    t, s = int(np.sum(pairs > tol)), int(np.sum(pairs < -tol))
+    z = len(pairs) - t - s
     if t or z:
         raise BadSignatureError(
             "outside Stein solution has signature (%d, %d, %d); "
@@ -461,4 +463,4 @@ def krein_langer_factor(R, degree=48, unit_band=1e-8):
     W = realization_series(out, degree)
     Bser = star_inverse(W)
     zeros = [(sphere_of(sphere.representative().inverse()), mult) for sphere, mult in outside]
-    return KLFactorization(s, W, Bser, star_mul(Bser, S), zeros, out, unit_band)
+    return KLFactorization(s, W, Bser, star_mul(Bser, S), zeros, out)

@@ -173,11 +173,6 @@ class SliceSeries:
         """Entrywise conjugate of every coefficient."""
         return SliceSeries._from_stacked(self.stacked().conj_entries(), self.degree)
 
-    def series_adjoint(self):
-        """Adjoint of every coefficient: the entrywise conjugate, transposed per block."""
-        c = self.conj()
-        return SliceSeries._from_arrays(c._a.transpose(0, 2, 1), c._b.transpose(0, 2, 1))
-
     # -- evaluation -------------------------------------------------------------------
 
     def eval(self, p):
@@ -238,24 +233,11 @@ def star_mul(f, g):
     return SliceSeries._from_stacked(lower_toeplitz(f, d) @ g.truncate(d).stacked(), d)
 
 
-def star_pow(f, k):
-    if f.rows != f.cols:
-        raise ShapeError("star power of a non-square series")
-    out = SliceSeries.one(f.degree, f.rows)
-    for _ in range(k):
-        out = star_mul(out, f)
-    return out
-
-
-def series_conj(f):
-    return f.conj()
-
-
-def series_sym(f, tol=1e-10):
+def series_sym(f):
     """Symmetrization conj(f) * f of a scalar series; always real coefficients.
 
     The imaginary parts cancel exactly in exact arithmetic; they are checked
-    against tol * (1 + scale) and then dropped.
+    against 1e-10 * (1 + scale) and then dropped.
     """
     if f.shape != (1, 1):
         raise ShapeError("symmetrization is defined for scalar series")
@@ -263,7 +245,7 @@ def series_sym(f, tol=1e-10):
     coeffs = [c.item() for c in fs.coeffs()]
     scale = max(abs(q) for q in coeffs)
     for q in coeffs:
-        if q.imag_norm() > tol * (1.0 + scale):
+        if q.imag_norm() > 1e-10 * (1.0 + scale):
             raise ShapeError("symmetrized coefficient not real: %r" % (q,))
     # the real part (q + conj q) / 2 of every coefficient, exact in floating point
     return (fs + fs.conj()) * 0.5
@@ -275,7 +257,7 @@ def _chi_stack(a, b):
                            np.concatenate([-b.conj(), a.conj()], axis=2)], axis=1)
 
 
-def star_solve_left(f, g, rtol=1e-12):
+def star_solve_left(f, g):
     """Solve f * x = g for a series x (degree = min of the two).
 
     Requires the constant coefficient of f to be invertible.  With
@@ -290,7 +272,7 @@ def star_solve_left(f, g, rtol=1e-12):
     if g.rows != f.cols:
         raise ShapeError("star division shape mismatch")
     try:
-        c0_inv = inverse(f.coeff(0), rtol)
+        c0_inv = inverse(f.coeff(0))
     except SingularMatrixError as exc:
         raise NotInvertibleAtZeroError(
             "constant coefficient is singular, no star inverse exists") from exc
@@ -308,9 +290,9 @@ def star_solve_left(f, g, rtol=1e-12):
     return SliceSeries._from_arrays(x[:, :r], -x[:, r:].conj())
 
 
-def star_inverse(f, rtol=1e-12):
+def star_inverse(f):
     """Star inverse of a square series with invertible constant coefficient."""
-    return star_solve_left(f, SliceSeries.one(f.degree, f.rows), rtol)
+    return star_solve_left(f, SliceSeries.one(f.degree, f.rows))
 
 
 def _state_space_series(A, B, C, D, degree):
@@ -342,7 +324,7 @@ def star_resolvent(A, degree):
     return _state_space_series(A, A, I, I, degree)
 
 
-def star_resolvent_eval(A, p, rtol=1e-12):
+def star_resolvent_eval(A, p):
     """Closed-form value of (I - pA)^{-*} at p: star_left_eval with C = I.
 
     Equal to (I - conj(p) A) (|p|^2 A^2 - 2 Re(p) A + I)^{-1}; valid whenever
@@ -351,10 +333,10 @@ def star_resolvent_eval(A, p, rtol=1e-12):
     A = as_qmatrix(A)
     if not A.is_square():
         raise ShapeError("resolvent of a non-square matrix")
-    return star_left_eval(QMatrix.eye(A.rows), A, p, rtol)
+    return star_left_eval(QMatrix.eye(A.rows), A, p)
 
 
-def star_left_eval(C, A, p, rtol=1e-12):
+def star_left_eval(C, A, p):
     """Value at p of the series C * (I - pA)^{-*} = sum_n p^n (C A^n).
 
     A constant left factor does not commute with powers of p, so this is
@@ -363,7 +345,7 @@ def star_left_eval(C, A, p, rtol=1e-12):
         (C - conj(p) C A) R^{-1},   R = |p|^2 A^2 - 2 Re(p) A + I.
 
     Raises SingularMatrixError when p lies on a pole sphere: when a singular
-    value of chi(R) is at most rtol times |p|^2 |A^2| + 2 |Re p| |A| + 1, the
+    value of chi(R) is at most 1e-12 times |p|^2 |A^2| + 2 |Re p| |A| + 1, the
     size of R's terms.  The ratio of R's own singular values would not do:
     for one state chi(R) is |R| times a unitary.
     """
@@ -377,7 +359,7 @@ def star_left_eval(C, A, p, rtol=1e-12):
     scale = p.norm_sq() * A2.norm() + 2.0 * abs(p.x0) * A.norm() + 1.0
     chi = R.complex_adjoint()
     sv = np.linalg.svd(chi, compute_uv=False)
-    if np.any(sv <= rtol * scale):
+    if np.any(sv <= 1e-12 * scale):
         raise SingularMatrixError(
             "p = %s is on a pole sphere: singular value %g of terms of size %g"
             % (p, sv.min(), scale))

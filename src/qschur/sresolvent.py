@@ -72,12 +72,14 @@ def _s_resolvent(solver, s, T, rtol):
 
 
 def s_resolvent_left(s, T, rtol=1e-12):
-    """Left S-resolvent at s; raises OnSpectrumError if Q_s(T) is singular."""
+    """Left S-resolvent at s; raises OnSpectrumError if Q_s(T) is singular at
+    relative tolerance rtol (as in solve), and InvalidSpecError unless
+    0 <= rtol < 1."""
     return _s_resolvent(solve, s, T, rtol)
 
 
 def s_resolvent_right(s, T, rtol=1e-12):
-    """Right S-resolvent at s."""
+    """Right S-resolvent at s, with the errors of s_resolvent_left."""
     return _s_resolvent(solve_right, s, T, rtol)
 
 
@@ -100,13 +102,13 @@ def resolvent_eq_residuals(s, T):
 class ContourSpec:
     """Circle with a real center traversed in a single slice plane.
 
-    nodes must be even and at least 16; the default is plenty for spectra
-    separated from the contour by a modest margin.  nodes still selects the
-    trapezoid rule, and so its error, which decays like rho^nodes for rho the
-    largest of |lambda - c| / r over the eigenvalues lambda inside and
-    r / |lambda - c| over those outside; but the rule is evaluated in closed
-    form with O(log nodes) triangular products, so nodes no longer scales its
-    cost.
+    center and radius must be finite, radius positive, and nodes even and
+    at least 16; the default is plenty for spectra separated from the
+    contour by a modest margin.  nodes still selects the trapezoid rule, and
+    so its error, which decays like rho^nodes for rho the largest of
+    |lambda - c| / r over the eigenvalues lambda inside and r / |lambda - c|
+    over those outside; but the rule is evaluated in closed form with
+    O(log nodes) triangular products, so nodes no longer scales its cost.
     """
 
     center: float
@@ -114,8 +116,11 @@ class ContourSpec:
     nodes: int = 256
 
     def __post_init__(self):
-        if not (self.radius > 0):
-            raise InvalidSpecError("contour radius must be positive")
+        if not math.isfinite(self.center):
+            raise InvalidSpecError("contour center must be finite, got %r" % self.center)
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise InvalidSpecError("contour radius must be finite and positive, got %r"
+                                   % self.radius)
         if self.nodes < 16 or self.nodes % 2:
             raise InvalidSpecError("contour nodes must be even and >= 16")
 
@@ -133,8 +138,8 @@ class ContourSpec:
         """Distance from the center to the sphere's slice points, minus the radius."""
         return math.hypot(sphere.re - self.center, sphere.im_mag) - self.radius
 
-    def encloses(self, sphere, band=0.0):
-        return self.offset(sphere) < -band
+    def encloses(self, sphere):
+        return self.offset(sphere) < 0
 
 
 def _power(M, N):
@@ -204,14 +209,14 @@ def _contour_sum(R, U, spheres, spec):
     return R, U, F, k
 
 
-def riesz_projector(T, spec, unit=None):
+def riesz_projector(T, spec):
     """Projector P onto the spectral part of square T inside the contour spec.
 
     P^2 = P and PT = TP up to quadrature error.  P is the closed form
     (I - W^N)^{-1} of the N-node rule (module docstring), evaluated on one
     reordered complex Schur form of chi(T) with O(log N) triangular products;
-    the same Schur form gives the eigen-spheres.  unit, the slice of the
-    nodes, has no effect: the rule is the same in every slice.
+    the same Schur form gives the eigen-spheres.  The rule is the same in
+    every slice of the nodes, so no slice is asked for.
     Raises ShapeError for non-square T, NonFiniteInputError for NaN or inf
     entries and ContourOnSpectrumError if a spectral sphere, or one of its
     eigenvalues, sits on the contour.
@@ -220,12 +225,12 @@ def riesz_projector(T, spec, unit=None):
     return from_complex_adjoint(U @ F @ U.conj().T)
 
 
-def riesz_s_part(T, spec, unit=None):
+def riesz_s_part(T, spec):
     """N-node contour rule of the resolvent against f(s) = s.
 
     In closed form it is T @ P for the projector P of the same rule, at
     every N: chi(T) (I - W^N)^{-1} on the reordered Schur form, at the cost
-    of riesz_projector.  unit has no effect, as in riesz_projector.
+    of riesz_projector.
     """
     R, U, F, _ = _contour_sum(*_schur_spheres(T), spec)
     return from_complex_adjoint(U @ (R @ F) @ U.conj().T)
@@ -261,8 +266,8 @@ def spectral_split(T, spec, unit=None):
     rho^N / (1 - rho^N) for rho the largest of |lambda - c| / r over the
     eigenvalues inside and r / |lambda - c| over those outside; for normal T
     it bounds ||P_N - P||_2, the distance of the projector to the exact
-    one.  It is reported, not enforced.  unit has no effect, as in
-    riesz_projector.
+    one.  It is reported, not enforced.  unit, the slice of the nodes, is
+    accepted and ignored: the rule is the same in every slice.
 
     Raises
     ------

@@ -12,6 +12,7 @@ import numpy as np
 
 from qschur import (
     ContourSpec,
+    KernelCoeffs,
     QMatrix,
     Quaternion,
     SliceSeries,
@@ -37,7 +38,6 @@ from qschur import (
     right_eigen_spheres,
     s_eigencheck,
     s_resolvent_left,
-    schur_kernel_coeffs,
     smallest_singular_value,
     spectral_split,
     sphere_of,
@@ -237,7 +237,7 @@ def test_criterion_7_negative_squares():
     report(7, "reciprocal-kappa-1", ok, 0.5, "(counts %s)" % res.counts)
 
     g = rng(107)
-    A = schur_kernel_coeffs(S).block_matrix(6)
+    A = KernelCoeffs(S).block_matrix(6)
     base, _ = herm_eig(A)
     bad = 0
     for _ in range(20):

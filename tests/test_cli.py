@@ -147,6 +147,23 @@ def test_out_of_range_number_exits_3(argv, rule, capsys):
     assert "must be %s" % rule in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["1", "1e300"])
+def test_spectrum_relative_tol_at_or_above_1_exits_3(tol, capsys):
+    """--tol 1e300 used to merge every eigenvalue into one sphere and exit 0."""
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--random", "4", "--tol", tol])
+    assert exc.value.code == 3
+    assert "must be a finite number >= 0 and below 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["1", "1e300"])
+def test_sspec_relative_tol_at_or_above_1_exits_3(tol, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sspec", "--random", "3", "--point", "2", "--tol", tol])
+    assert exc.value.code == 3
+    assert "must be a finite number >= 0 and below 1" in capsys.readouterr().err
+
+
 def test_verify_nodes_at_the_contour_minimum_runs(capsys):
     """16 nodes leave the projector far from idempotent, but the rank of the
     split is read off the Schur form, not off the projector."""

@@ -19,7 +19,6 @@ from qschur import (
     herm_eig,
     lower_toeplitz,
     neg_squares,
-    schur_kernel_coeffs,
     star_mul,
     star_inverse,
 )
@@ -47,7 +46,7 @@ def brute_coeff(S, n, m):
 def test_coeff_matches_definition():
     g = rng(60)
     S = random_scalar_series(g, 8)
-    kc = schur_kernel_coeffs(S)
+    kc = KernelCoeffs(S)
     for n in range(6):
         for m in range(6):
             want = brute_coeff(S, n, m)
@@ -94,7 +93,7 @@ def test_value_matches_double_series():
     """Kernel value vs a literal double sum over (n, m)."""
     g = rng(61)
     S = random_scalar_series(g, 8)
-    kc = schur_kernel_coeffs(S)
+    kc = KernelCoeffs(S)
     p = ball_point(g, 0.6)
     q = ball_point(g, 0.6)
     deg = 8
@@ -133,9 +132,9 @@ def test_value_matches_horner_sweeps(seed, r, degree, p_kind, q_kind):
 def test_sections_are_hermitian():
     g = rng(62)
     S = random_scalar_series(g, 10)
-    kc = schur_kernel_coeffs(S)
+    kc = KernelCoeffs(S)
     for mu in (0, 3, 7):
-        assert kc.hermitian_defect(mu) < 1e-12
+        assert kc.block_matrix(mu).herm_defect() < 1e-12
     # entrywise: a_{n,m}* = a_{m,n}
     assert (kc.coeff(2, 5).adjoint() - kc.coeff(5, 2)).norm() < 1e-13
 
@@ -143,7 +142,7 @@ def test_sections_are_hermitian():
 def test_kernel_value_hermitian_symmetry():
     g = rng(63)
     S = random_scalar_series(g, 8)
-    kc = schur_kernel_coeffs(S)
+    kc = KernelCoeffs(S)
     p = ball_point(g, 0.5)
     q = ball_point(g, 0.5)
     kpq = kc.value(p, q, 8).item()
@@ -165,9 +164,9 @@ def test_matrix_valued_kernel_runs():
     coeffs = [QMatrix.from_entries([[0.2, 0.1], [0.0, QJ * 0.3]]),
               QMatrix.from_entries([[0.1, 0.0], [0.05, -0.1]])]
     S = SliceSeries.polynomial(coeffs, degree=6)
-    kc = schur_kernel_coeffs(S)
+    kc = KernelCoeffs(S)
     assert kc.coeff(0, 0).shape == (2, 2)
-    assert kc.hermitian_defect(4) < 1e-12
+    assert kc.block_matrix(4).herm_defect() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +233,7 @@ def test_zero_threshold_is_relative_above_rounding_level():
     f2 = blaschke_point(Quaternion(0.5), 14)
     S = star_mul(star_inverse(star_mul(f1, f2)), SliceSeries.constant(Quaternion(0.5, 0.3), 14))
     res = neg_squares(S, mu_max=10)
-    A = schur_kernel_coeffs(S).block_matrix(10)
+    A = KernelCoeffs(S).block_matrix(10)
     for mu, t in enumerate(res.tols):
         w = np.linalg.eigvalsh(A[:mu + 1, :mu + 1].complex_adjoint())
         assert t == pytest.approx(1e-8 * np.max(np.abs(w)), rel=1e-12)
@@ -253,7 +252,7 @@ def test_neg_squares_matches_herm_eig_per_section(seed, kappa, mu_max):
         b = ball_point(gen, 0.8)
         S = star_mul(S, blaschke_reciprocal(b, degree=10).series)
     res = neg_squares(S, mu_max=mu_max)
-    kc = schur_kernel_coeffs(S)
+    kc = KernelCoeffs(S)
     want = [herm_eig(kc.block_matrix(mu))[0].negatives for mu in range(mu_max + 1)]
     assert res.counts == want
     assert res.kappa == max(want)
@@ -330,7 +329,7 @@ def test_congruence_by_invertible_toeplitz_preserves_signature():
     """L(alpha) A_mu L(alpha)* has the same inertia when alpha_0 is invertible."""
     g = rng(68)
     S = blaschke_reciprocal(Quaternion(0.3, 0.5), degree=10).series
-    A = schur_kernel_coeffs(S).block_matrix(6)
+    A = KernelCoeffs(S).block_matrix(6)
     base, _ = herm_eig(A)
     for _ in range(5):
         alpha = random_scalar_series(g, 6, scale=0.7, floor=0.6)

@@ -29,7 +29,7 @@ from qschur import (
     blaschke_reciprocal_realization,
     cascade,
     j_unitary_complete,
-    kernel_identity_residual,
+    kernel_identity_residuals,
     krein_langer_factor,
     neg_squares,
     realization_eval,
@@ -268,6 +268,21 @@ def test_completion_unobservable_raises():
         j_unitary_complete(A, C, QMatrix.eye(1))
 
 
+@pytest.mark.parametrize("eps", [1.0, 1e-3, 1e-5, 1e-6])
+def test_completion_does_not_depend_on_the_scale_of_C(eps):
+    """C -> eps C scales P by eps^2, B by 1/eps and keeps D.  Observability
+    is decided relative to the largest singular value of P; an absolute
+    floor refused the pair at eps = 1e-6."""
+    g = rng(5)
+    A = random_qmatrix(g, 3, scale=0.3)
+    C = random_qmatrix(g, 1, 3)
+    for complete in (lambda A, C: j_unitary_complete(A, C, QMatrix.eye(1)), realization_sigma_I):
+        ref = complete(A, C)
+        R = complete(A, C * eps)
+        assert (R.D - ref.D).norm() <= 1e-9
+        assert (R.B * eps - ref.B).norm() <= 1e-9
+
+
 def test_realization_shape_guards():
     with pytest.raises(ShapeError):
         Realization(QMatrix.zeros(2, 3), QMatrix.zeros(2, 1),
@@ -334,7 +349,7 @@ def test_kernel_identity_certified_case():
     for _ in range(4):
         p = ball_point(g, 0.5)
         q = ball_point(g, 0.5)
-        assert kernel_identity_residual(R, p, q, degree=48) < 1e-8
+        assert kernel_identity_residuals(R, [(p, q)], degree=48)[0] < 1e-8
 
 
 def test_kernel_identity_reciprocal_factor():
@@ -342,7 +357,7 @@ def test_kernel_identity_reciprocal_factor():
     g = rng(86)
     p = ball_point(g, 0.5)
     q = ball_point(g, 0.5)
-    assert kernel_identity_residual(R, p, q, degree=48) < 1e-8
+    assert kernel_identity_residuals(R, [(p, q)], degree=48)[0] < 1e-8
 
 
 def test_kernel_identity_detects_wrong_metric():
@@ -355,7 +370,7 @@ def test_kernel_identity_detects_wrong_metric():
     q = ball_point(g, 0.5)
     bad = Realization(R.A, R.B, R.C, R.D, sigma=R.sigma,
                       P=R.P + 0.01 * QMatrix.eye(2))
-    assert kernel_identity_residual(bad, p, q, degree=48) > 1e-4
+    assert kernel_identity_residuals(bad, [(p, q)], degree=48)[0] > 1e-4
 
 
 def test_kernel_identity_needs_the_stein_solution():
@@ -364,7 +379,7 @@ def test_kernel_identity_needs_the_stein_solution():
     casc = cascade(R, R)
     assert casc.P is None
     with pytest.raises(ShapeError, match="Stein solution P"):
-        kernel_identity_residual(casc, Quaternion(0.1), Quaternion(0.2), degree=8)
+        kernel_identity_residuals(casc, [(Quaternion(0.1), Quaternion(0.2))], degree=8)
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +561,15 @@ def test_factor_unit_sphere_guard():
                     QMatrix.scalar(1.0), QMatrix.scalar(0.0),
                     sigma=QMatrix.eye(1))
     with pytest.raises(SpectrumOnUnitSphereError):
+        krein_langer_factor(R)
+
+
+def test_factor_refuses_an_outside_part_that_is_not_negative_definite():
+    """For sigma = -I the Stein solution of the outside part is positive
+    definite, so it carries no negative squares."""
+    A = QMatrix.from_entries([[complex(0.3, 1.2), 1.0], [0.0, 0.2]])
+    R = j_unitary_complete(A, QMatrix.from_entries([[1.0, 0.5]]), -QMatrix.eye(1))
+    with pytest.raises(BadSignatureError, match=r"signature \(1, 0, 0\)"):
         krein_langer_factor(R)
 
 

@@ -14,12 +14,10 @@ from qschur import (
     QK,
     ShapeError,
     SliceSeries,
-    series_conj,
     series_sym,
     star_inverse,
     star_left_eval,
     star_mul,
-    star_pow,
     star_resolvent,
     star_resolvent_eval,
     star_solve_left,
@@ -159,15 +157,6 @@ def test_truncation_is_min_degree():
     assert (f - g).degree == 2
 
 
-def test_star_pow():
-    f = scal([1, 1], degree=6)  # 1 + p
-    cube = star_pow(f, 3)
-    binom = [1, 3, 3, 1, 0, 0, 0]
-    for n, b in enumerate(binom):
-        assert (cube.coeff(n).item() - Quaternion(float(b))).is_zero(tol=1e-14)
-    assert star_pow(f, 0).coeff(0).item() == Quaternion(1.0)
-
-
 def test_geometric_star_inverse():
     """(1 - p a)^{-*} = sum_n p^n a^n, checked coefficient by coefficient."""
     a = Quaternion(0.3, -0.4, 0.2, 0.1)
@@ -244,16 +233,6 @@ def test_pad_truncate_shift():
     s = f.shift(2)
     assert s.coeff(2).item() == Quaternion(1.0)
     assert s.coeff(0).item().is_zero()
-
-
-def test_series_conj_and_adjoint():
-    f = scal([Quaternion(1, 2, 3, 4), QJ], degree=1)
-    fc = series_conj(f)
-    assert fc.coeff(0).item() == Quaternion(1, -2, -3, -4)
-    g = SliceSeries.polynomial(
-        [QMatrix.from_entries([[QI, 0], [QJ, 1]])], degree=1)
-    ga = g.series_adjoint()
-    assert ga.coeff(0).entry(0, 1) == -QJ
 
 
 def test_series_sym_is_real():
