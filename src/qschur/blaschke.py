@@ -33,7 +33,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .quat import Quaternion, Sphere, sphere_of
-from .qmatrix import QMatrix
+from .qmatrix import QMatrix, _check_count
 from .realization import (
     Realization,
     blaschke_reciprocal_realization,
@@ -95,11 +95,13 @@ def tail_bound(a, degree):
 
 def blaschke_point(a, degree=DEFAULT_DEGREE):
     """Series of the point factor with zero a; B_0 is the identity map p."""
+    _check_count("degree", degree, 0)
     return realization_series(_point_realization(a), degree)
 
 
 def blaschke_sphere(sphere, degree=DEFAULT_DEGREE):
     """Real-coefficient factor vanishing on the whole sphere of a."""
+    _check_count("degree", degree, 0)
     return realization_series(_sphere_realization(sphere), degree)
 
 
@@ -147,12 +149,14 @@ def blaschke_product(zeros, degree=DEFAULT_DEGREE):
 
     Raises
     ------
+    InvalidSpecError     unless degree is an integer >= 0
     InvalidModulusError  for zeros on or outside the unit sphere
     NonFiniteInputError  for zeros with a NaN or infinite component
     DegenerateChoiceError when a prescribed point zero already annihilates
                           the partial product (a value of modulus at most
                           1e-12, which cannot conjugate the next parameter)
     """
+    _check_count("degree", degree, 0)
     zeros = list(zeros)
     factors = []
     R = None  # the empty product: its value is 1 and its cascade with a factor is that factor
@@ -190,6 +194,7 @@ class BlaschkeReciprocal:
 
 def blaschke_reciprocal(a, degree=DEFAULT_DEGREE):
     """Series of B_a^{-*}; defined only for a != 0 (constant term |a| != 0)."""
+    _check_count("degree", degree, 0)
     a = _as_quat(a)
     series = realization_series(blaschke_reciprocal_realization(a), degree)
     return BlaschkeReciprocal(series, a, sphere_of(a), a.conj().inverse())

@@ -329,8 +329,8 @@ def cmd_verify(args):
         for n in SUITES:
             print(n)
         return 0
-    cfg = RunConfig(seed=args.seed, degree=args.degree, nodes=args.nodes,
-                    mu_max=args.mu_max, tol_factor=args.tol)
+    cfg = RunConfig(seed=args.seed, degree=args.degree, mu_max=args.mu_max,
+                    tol_factor=args.tol)
     try:
         results = run_suites(cfg, names)
     except KeyError as exc:
@@ -366,8 +366,6 @@ def _number(convert, accept, rule):
 
 _count = _number(int, lambda v: v >= 0, ">= 0")            # --degree, --mu-max
 _size = _number(int, lambda v: v >= 1, ">= 1")             # --random
-_nodes = _number(int, lambda v: v >= 16 and v % 2 == 0,    # --nodes, as ContourSpec
-                 "an even integer >= 16")
 _tol = _number(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
 _rel_tol = _number(float, lambda v: 0 <= v < 1, "a finite number >= 0 and below 1")
 
@@ -436,7 +434,6 @@ def build_parser():
     p.add_argument("--suite", action="append",
                    help="suite name (repeatable; default all)")
     p.add_argument("--list", action="store_true", help="list suite names")
-    p.add_argument("--nodes", type=_nodes, default=256)
     p.add_argument("--degree", type=_count, default=40)
     p.add_argument("--mu-max", type=_count, default=8)
     _add_common(p, tol=1.0)

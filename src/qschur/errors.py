@@ -30,7 +30,8 @@ class OnSpectrumError(QschurError):
 
 
 class ContourOnSpectrumError(OnSpectrumError):
-    """A quadrature contour passes through (or hugs) a spectral sphere."""
+    """A contour passes through (or hugs) a spectral sphere, or the spectrum
+    it encloses is too close to the rest for a certified projector."""
 
 
 class RankDeficiencyError(QschurError):

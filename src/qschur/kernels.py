@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import NonFiniteInputError, NotHermitianError, ShapeError
 from .quat import Quaternion
-from .qmatrix import QMatrix, _check_tol, as_qmatrix
+from .qmatrix import QMatrix, _check_count, _check_tol, as_qmatrix
 from .series import SliceSeries, lower_toeplitz
 
 
@@ -143,13 +143,15 @@ def neg_squares(S, sigma1=None, sigma2=None, mu_max=12, tol=None):
 
     Returns NegSquares.  The count is declared stabilized when the last 3
     sections (NegSquares.window) agree and equal the maximum.  Raises
-    InvalidSpecError if tol is neither None nor a finite number >= 0.
+    InvalidSpecError unless mu_max is an integer >= 0 and tol is None or a
+    finite number >= 0.
     """
+    _check_count("mu_max", mu_max, 0)
     if tol is not None:
         _check_tol("tol", tol, relative=False)
     if mu_max + 1 > S.degree + 1:
         mu_max = S.degree
-    diag, prod = KernelCoeffs(S, sigma1, sigma2)._terms(max(mu_max, 0))
+    diag, prod = KernelCoeffs(S, sigma1, sigma2)._terms(mu_max)
     A = diag - prod
     X = _interleaved_chi(A)
     if not np.all(np.isfinite(X)):

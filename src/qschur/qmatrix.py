@@ -19,6 +19,7 @@ eigenvalues of chi(M), in conjugate pairs (one pair per spectral sphere).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -289,7 +290,7 @@ def as_qmatrix(x):
     q = Quaternion._coerce(x)
     if q is not None:
         return QMatrix.scalar(q)
-    raise TypeError("cannot interpret %r as a quaternionic matrix" % (x,))
+    raise ShapeError("cannot interpret %r as a quaternionic matrix" % (x,))
 
 
 def complex_adjoint(M):
@@ -347,6 +348,14 @@ def _check_tol(name, value, relative):
     if not (math.isfinite(value) and value >= 0 and (value < 1 or not relative)):
         raise InvalidSpecError("%s must be a finite number >= 0%s, got %r"
                                % (name, " and below 1" if relative else "", value))
+
+
+def _check_count(name, value, minimum):
+    """Raise InvalidSpecError unless value is an integer >= minimum; a bool
+    or a float with an integral value is no count."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= minimum):
+        raise InvalidSpecError("%s must be an integer >= %d, got %r" % (name, minimum, value))
 
 
 def is_invertible(M):

@@ -10,30 +10,23 @@ is invertible, and the two resolvents are
     left:   -Q_s(T)^{-1} (T - conj(s) I)
     right:  -(T - conj(s) I) Q_s(T)^{-1}.
 
-Projectors onto the spectral part enclosed by a circle with *real* center
-(so that whole spheres are either inside or outside) are given by the
-periodic trapezoid rule, exponentially convergent for these analytic
-integrands.  Nodes s_k = c + r exp(I th_k) and s_{N-k} are conjugate and
-share Q_{s_k}(T), so the N-node rule is a real-rational function of T and
-the slice I drops out of it.
+The Riesz projector of the spectral part enclosed by a circle with *real*
+center (so that whole spheres are either inside or outside) is the contour
+integral of the S-resolvent.  The right spectrum of T is its point
+S-spectrum, the eigenvalues of chi(T), so that integral is the spectral
+projector of chi(T) for the eigenvalues inside the circle, and one complex
+Schur form gives it exactly.  Reorder chi(T) = U R U* so that the k
+eigenvalues inside come first, R = [[R11, R12], [0, R22]]; then
 
-That function has a closed form.  With W = (chi(T) - cI)/r and
-omega = exp(2 pi i/N), the identity sum_k 1/(1 - z omega^-k) = N/(1 - z^N)
-gives
+    P = U [[I, Y], [0, 0]] U*,   R11 Y - Y R22 = R12,
 
-    (1/N) sum_k omega^k (omega^k I - W)^{-1} = (I - W^N)^{-1} =: P_N,
-
-and the rule for f(s) = s is chi(T) P_N, for every N >= 2 (Trefethen and
-Weideman, SIAM Rev. 56, 2014).  P_N is evaluated on one complex Schur form
-chi(T) = U R U*, reordered so that the eigenvalues inside the circle come
-first; on that block split W^N stays bounded in both diagonal blocks, and the
-off-diagonal block solves one triangular Sylvester equation (the block
-Parlett recurrence, Higham, Functions of Matrices, 2008, sec. 9.1).  Binary
-powering makes the cost O(log N) triangular products.  The right spectrum of
-T is its point S-spectrum, the eigenvalues of chi(T), so the eigen-spheres
-are read off diag(R) too, and the leading Schur vectors of the reordered form
-span the enclosed invariant subspace: its dimension and basis need no rank
-decision on P.
+one triangular Sylvester equation (Stewart and Sun, Matrix Perturbation
+Theory, 1990, ch. V).  ||P||_2 <= sqrt(1 + ||Y||_F^2) = 1/s, for s the
+reciprocal condition number of the enclosed eigenvalue cluster that LAPACK's
+xTRSEN reports (Bai, Demmel and McKenney, ACM TOMS 19, 1993); a large norm
+means the two sides of the contour are nearly dependent, and the projector is
+refused.  The leading Schur vectors span the enclosed invariant subspace, so
+its dimension and basis need no rank decision on P either.
 """
 
 from __future__ import annotations
@@ -42,7 +35,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import ztrsen, ztrsyl, ztrtri
+from scipy.linalg.lapack import ztrsen, ztrsyl
 
 from .errors import (
     ContourOnSpectrumError,
@@ -53,6 +46,7 @@ from .errors import (
 from .quat import I_DEFAULT, Quaternion
 from .qmatrix import (
     QMatrix,
+    _check_count,
     _leading_basis,
     _schur_spheres,
     as_qmatrix,
@@ -102,13 +96,10 @@ def resolvent_eq_residuals(s, T):
 class ContourSpec:
     """Circle with a real center traversed in a single slice plane.
 
-    center and radius must be finite, radius positive, and nodes even and
-    at least 16; the default is plenty for spectra separated from the
-    contour by a modest margin.  nodes still selects the trapezoid rule, and
-    so its error, which decays like rho^nodes for rho the largest of
-    |lambda - c| / r over the eigenvalues lambda inside and r / |lambda - c|
-    over those outside; but the rule is evaluated in closed form with
-    O(log nodes) triangular products, so nodes no longer scales its cost.
+    center and radius must be finite, radius positive, and nodes an even
+    integer of at least 16.  The projectors are exact, so nodes sets only the
+    grid of points(), the N-node trapezoid rule that serves as the slow
+    node-by-node reference.
     """
 
     center: float
@@ -121,7 +112,8 @@ class ContourSpec:
         if not (math.isfinite(self.radius) and self.radius > 0):
             raise InvalidSpecError("contour radius must be finite and positive, got %r"
                                    % self.radius)
-        if self.nodes < 16 or self.nodes % 2:
+        _check_count("nodes", self.nodes, 16)
+        if self.nodes % 2:
             raise InvalidSpecError("contour nodes must be even and >= 16")
 
     def points(self, unit=None):
@@ -142,40 +134,25 @@ class ContourSpec:
         return self.offset(sphere) < 0
 
 
-def _power(M, N):
-    """M^N for N >= 1 by binary powering: floor(log2 N) squarings and
-    popcount(N) - 1 further products."""
-    out = None
-    while True:
-        if N & 1:
-            out = M if out is None else out @ M
-        N >>= 1
-        if not N:
-            return out
-        M = M @ M
-
-
-def _inv_triangular(M, what):
-    M_inv, info = ztrtri(M)
-    if info > 0:
-        raise ContourOnSpectrumError(
-            "a contour node lies on the spectrum (%s singular)" % what)
-    return M_inv
+# Largest accepted projector norm bound sqrt(1 + ||Y||_F^2).  Projectors of
+# well separated spectra stay within a few hundred; one whose sides were split
+# from a single defective sphere by rounding exceeds 1e10.
+_PROJECTOR_NORM_MAX = 1e6
 
 
 def _contour_sum(R, U, spheres, spec):
-    """(R, U, F, k): the Schur form chi(T) = U R U* reordered so that the k
-    eigenvalues inside the contour come first, and F = (I - W^N)^{-1} with
-    W = (R - cI)/r, the N-node rule of the projector (module docstring).
+    """(R, U, F, k, norm): the Schur form chi(T) = U R U* reordered so that
+    the k eigenvalues inside the contour come first, F = [[I, Y], [0, 0]] the
+    projector in that basis (module docstring) and norm = sqrt(1 + ||Y||_F^2),
+    a bound on ||F||_2.
 
-    The spheres of T must clear the contour, and the eigenvalues in diag(R)
-    must fall on the side of their sphere, so that k is twice the enclosed
-    multiplicity and the split of diag(R) is the split of the spheres;
-    rounding spreads the eigenvalues of a defective sphere, which may then
-    straddle a contour that the sphere clears.  With the split W = [[W11,
-    W12], [0, W22]], F11 = (I - W11^N)^{-1}, F22 = -V^N (I - V^N)^{-1} for
-    V = W22^{-1}, and F12 solves W11 F12 - F12 W22 = F11 W12 - W12 F22, since
-    F commutes with W.
+    The spheres of T and the eigenvalues in diag(R) must clear the contour,
+    and the eigenvalues must fall on the side of their sphere, so that k is
+    twice the enclosed multiplicity and the split of diag(R) is the split of
+    the spheres; rounding spreads the eigenvalues of a defective sphere, which
+    may then straddle a contour that the sphere clears.  Raises
+    ContourOnSpectrumError otherwise, and when norm exceeds
+    _PROJECTOR_NORM_MAX.
     """
     band = 1e-6 * spec.radius
     enclosed = 0
@@ -185,54 +162,53 @@ def _contour_sum(R, U, spheres, spec):
             raise ContourOnSpectrumError(
                 "contour passes within %g of the spectral sphere %s" % (band, sphere))
         enclosed += mult if offset < 0 else 0
-    c, r, nodes = spec.center, spec.radius, spec.nodes
-    inside = np.abs(np.diag(R) - c) < r
+    dist = np.abs(np.diag(R) - spec.center)
+    if np.any(np.abs(dist - spec.radius) <= band):
+        raise ContourOnSpectrumError("an eigenvalue of T lies within %g of the contour" % band)
+    inside = dist < spec.radius
     k = int(np.count_nonzero(inside))
     if k != 2 * enclosed:
         raise ContourOnSpectrumError(
             "the eigenvalues of a spectral sphere straddle the contour")
     if not inside[:k].all():  # swaps of 1x1 blocks, which cannot fail
         R, U = ztrsen(inside.astype(np.int32), R, U, job="N")[:2]
-    n = len(R)
-    W = (R - c * np.eye(n)) / r
-    F = np.zeros_like(W)
-    # LAPACK rejects empty triangular matrices, so each block runs only if present
-    if k:
-        F[:k, :k] = _inv_triangular(np.eye(k) - _power(W[:k, :k], nodes), "I - W^N")
-    if k < n:
-        VN = _power(_inv_triangular(W[k:, k:], "W"), nodes)
-        F[k:, k:] = -VN @ _inv_triangular(np.eye(n - k) - VN, "I - W^-N")
-    if 0 < k < n:
-        W12 = W[:k, k:]
-        X, scale, _ = ztrsyl(W[:k, :k], W[k:, k:], F[:k, :k] @ W12 - W12 @ F[k:, k:], isgn=-1)
-        F[:k, k:] = X / scale
-    return R, U, F, k
+    F = np.zeros_like(R)
+    F[:k, :k] = np.eye(k)
+    norm = 1.0
+    # LAPACK rejects empty triangular matrices: Y exists only if both sides do
+    if 0 < k < len(R):
+        Y, scale, _ = ztrsyl(R[:k, :k], R[k:, k:], R[:k, k:], isgn=-1)
+        F[:k, k:] = Y / scale
+        norm = math.sqrt(1.0 + np.linalg.norm(F[:k, k:]) ** 2)
+        if not norm <= _PROJECTOR_NORM_MAX:
+            raise ContourOnSpectrumError(
+                "the enclosed spectrum is ill separated from the rest: projector norm "
+                "bound %.3g exceeds %g" % (norm, _PROJECTOR_NORM_MAX))
+    return R, U, F, k, norm
 
 
 def riesz_projector(T, spec):
-    """Projector P onto the spectral part of square T inside the contour spec.
+    """Riesz projector P of square T onto its spectral part inside the
+    contour spec.
 
-    P^2 = P and PT = TP up to quadrature error.  P is the closed form
-    (I - W^N)^{-1} of the N-node rule (module docstring), evaluated on one
-    reordered complex Schur form of chi(T) with O(log N) triangular products;
-    the same Schur form gives the eigen-spheres.  The rule is the same in
-    every slice of the nodes, so no slice is asked for.
-    Raises ShapeError for non-square T, NonFiniteInputError for NaN or inf
-    entries and ContourOnSpectrumError if a spectral sphere, or one of its
-    eigenvalues, sits on the contour.
+    P is exact, U [[I, Y], [0, 0]] U* on one reordered complex Schur form of
+    chi(T) (module docstring), so P^2 = P and PT = TP hold to rounding
+    relative to ||P||.  The projector is the same in every slice, so no slice
+    is asked for.  Raises ShapeError for non-square T, NonFiniteInputError
+    for NaN or inf entries, and ContourOnSpectrumError if a spectral sphere,
+    or one of its eigenvalues, sits on the contour, or if the projector norm
+    bound sqrt(1 + ||Y||_F^2) exceeds 1e6: the enclosed spectrum is then too
+    close to the rest for P to be trusted.
     """
-    R, U, F, _ = _contour_sum(*_schur_spheres(T), spec)
+    R, U, F, _, _ = _contour_sum(*_schur_spheres(T), spec)
     return from_complex_adjoint(U @ F @ U.conj().T)
 
 
 def riesz_s_part(T, spec):
-    """N-node contour rule of the resolvent against f(s) = s.
-
-    In closed form it is T @ P for the projector P of the same rule, at
-    every N: chi(T) (I - W^N)^{-1} on the reordered Schur form, at the cost
-    of riesz_projector.
-    """
-    R, U, F, _ = _contour_sum(*_schur_spheres(T), spec)
+    """Contour integral of the S-resolvent against f(s) = s: T @ P for the
+    projector P of riesz_projector, formed as chi(T) F on the same reordered
+    Schur form, with the errors of riesz_projector."""
+    R, U, F, _, _ = _contour_sum(*_schur_spheres(T), spec)
     return from_complex_adjoint(U @ (R @ F) @ U.conj().T)
 
 
@@ -240,16 +216,17 @@ def riesz_s_part(T, spec):
 class SpectralSplit:
     """Invariant-subspace data of T along a contour.
 
-    basis spans the exact invariant subspace of the enclosed spectrum (the
-    leading Schur vectors), and rank is its dimension; only the projector
-    carries quadrature error, which quadrature_error bounds for normal T.
+    basis spans the invariant subspace of the enclosed spectrum (the leading
+    Schur vectors), rank is its dimension, and projector_norm certifies the
+    projector: it bounds ||P||_2, and P^2 = P and PT = TP hold to rounding
+    relative to it.
     """
 
-    projector: QMatrix      # the N-node rule P_N of the Riesz projector
+    projector: QMatrix      # the Riesz projector onto the enclosed subspace
     basis: QMatrix          # orthonormal columns spanning the enclosed subspace
     rank: int               # its dimension, the enclosed multiplicity
     restriction: QMatrix    # basis* T basis, the enclosed part of T
-    quadrature_error: float  # rho^N / (1 - rho^N), see spectral_split
+    projector_norm: float   # sqrt(1 + ||Y||_F^2) >= ||P||_2, see spectral_split
     inside: list = field(default_factory=list)   # (Sphere, mult) inside
     outside: list = field(default_factory=list)  # (Sphere, mult) outside
 
@@ -261,31 +238,29 @@ def spectral_split(T, spec, unit=None):
     One reordered Schur form chi(T) = U R U* gives everything: the k
     eigenvalues of diag(R) inside the contour decide the spheres inside, the
     rank k / 2 and, through the leading k Schur vectors, the orthonormal
-    basis of the enclosed invariant subspace; the projector is the N-node
-    rule of riesz_projector on the same form.  quadrature_error is
-    rho^N / (1 - rho^N) for rho the largest of |lambda - c| / r over the
-    eigenvalues inside and r / |lambda - c| over those outside; for normal T
-    it bounds ||P_N - P||_2, the distance of the projector to the exact
-    one.  It is reported, not enforced.  unit, the slice of the nodes, is
-    accepted and ignored: the rule is the same in every slice.
+    basis of the enclosed invariant subspace; the projector is the exact one
+    of riesz_projector on the same form.  projector_norm is sqrt(1 +
+    ||Y||_F^2) for the Sylvester solution Y of the module docstring, the
+    reciprocal of LAPACK's xTRSEN cluster condition s: 1 when one side is
+    empty, and it grows as the enclosed spectrum nears the rest.  unit, the
+    slice of the nodes, is accepted and ignored: the projector is the same in
+    every slice.
 
     Raises
     ------
     ContourOnSpectrumError
-        If a spectral sphere, or one of its eigenvalues, sits on the contour.
+        If a spectral sphere, or one of its eigenvalues, sits on the contour,
+        or projector_norm exceeds 1e6.
     RankDeficiencyError
         If the leading Schur vectors do not give rank quaternionic directions.
     """
     T = as_qmatrix(T)
     R, U, spheres = _schur_spheres(T)
-    R, U, F, k = _contour_sum(R, U, spheres, spec)
+    R, U, F, k, norm = _contour_sum(R, U, spheres, spec)
     P = from_complex_adjoint(U @ F @ U.conj().T)
     basis = _leading_basis(U, k, T.rows)
     restriction = basis.adjoint() @ T @ basis
-    d = np.abs(np.diag(R) - spec.center) / spec.radius
-    rho_n = max(d[:k].max(initial=0.0), (1.0 / d[k:]).max(initial=0.0)) ** spec.nodes
-    error = rho_n / (1.0 - rho_n) if rho_n < 1.0 else math.inf
     inside, outside = [], []
     for sphere, mult in spheres:
         (inside if spec.encloses(sphere) else outside).append((sphere, mult))
-    return SpectralSplit(P, basis, k // 2, restriction, float(error), inside, outside)
+    return SpectralSplit(P, basis, k // 2, restriction, norm, inside, outside)

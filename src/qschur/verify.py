@@ -52,7 +52,6 @@ from . import sampling
 class RunConfig:
     seed: int = 1234
     degree: int = 40
-    nodes: int = 256
     mu_max: int = 8
     tol_factor: float = 1.0
 
@@ -149,7 +148,7 @@ def _two_cluster_matrix(gen):
 def suite_projector(cfg):
     gen = sampling.rng(cfg.seed + 3)
     T = _two_cluster_matrix(gen)
-    spec = ContourSpec(0.0, 1.0, cfg.nodes)
+    spec = ContourSpec(0.0, 1.0)
     P = riesz_projector(T, spec)
     out = []
     out.append(_res("projector-idempotent", (P @ P - P).norm(), 1e-8 * cfg.tol_factor))
@@ -168,13 +167,13 @@ def suite_projector(cfg):
 
 
 def suite_quadrature(cfg):
+    """The node-by-node trapezoid rule: 256 nodes give a projector, 16 nodes
+    do not when the contour passes close to the spectrum."""
     gen = sampling.rng(cfg.seed + 4)
     pts = [Quaternion(0.0, 1.05, 0.0, 0.0), Quaternion(1.30, 0.4, 0.0, 0.0)]
     T = sampling.matrix_with_spectrum(gen, pts)
-    spec_c = ContourSpec(0.0, 1.2, 16)
-    spec_f = ContourSpec(0.0, 1.2, cfg.nodes)
-    Pc = riesz_projector(T, spec_c)
-    Pf = riesz_projector(T, spec_f)
+    Pc = _riesz_by_resolvents(T, ContourSpec(0.0, 1.2, 16), None)
+    Pf = _riesz_by_resolvents(T, ContourSpec(0.0, 1.2, 256), None)
     ec = (Pc @ Pc - Pc).norm()
     ef = (Pf @ Pf - Pf).norm()
     out = [_res("fine-grid-idempotent", ef, 1e-6 * cfg.tol_factor),
@@ -184,10 +183,12 @@ def suite_quadrature(cfg):
 
 
 def _riesz_by_resolvents(T, spec, unit):
-    """Slow reference for riesz_projector: the trapezoid sum node by node.
+    """Slow reference for riesz_projector: the N-node trapezoid rule of the
+    contour integral, summed node by node.
 
     Sums S_L^{-1}(s_k, T) e_k over the quaternionic nodes of spec in the
-    slice of unit, so it depends on the slice wherever the projector would.
+    slice of unit, so it depends on the slice wherever the projector would;
+    its error against the exact projector decays like rho^N for normal T.
     """
     acc = QMatrix.zeros(T.rows, T.rows)
     for s, e in spec.points(unit):
@@ -198,7 +199,7 @@ def _riesz_by_resolvents(T, spec, unit):
 def suite_slices(cfg):
     gen = sampling.rng(cfg.seed + 5)
     T = _two_cluster_matrix(gen)
-    spec = ContourSpec(0.0, 1.0, cfg.nodes)
+    spec = ContourSpec(0.0, 1.0)
     P = riesz_projector(T, spec)
     worst = 0.0
     units = [UnitImaginary(0, 1, 0), UnitImaginary(0, 0, 1),

@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg import schur, solve_sylvester
 
 from qschur import (
     CompletionFailureError,
@@ -22,6 +23,7 @@ from qschur import (
 )
 from qschur.qmatrix import (
     _columns_from_complex,
+    from_complex_adjoint,
     gram_schmidt_columns,
     hstack,
     inverse,
@@ -170,6 +172,34 @@ def projectors_by_cluster(spec, V, cluster, tol=None):
         Vl = QMatrix(V._a[:, mask], V._b[:, mask])
         out.append((l, mask, Vl @ solve(Vl.adjoint() @ Vl, Vl.adjoint())))
     return out
+
+
+def riesz_rule_closed_form(T, spec):
+    """The N-node trapezoid rule of the Riesz projector, which
+    verify._riesz_by_resolvents sums node by node, in closed form.
+
+    With W = (chi(T) - cI)/r and omega = exp(2 pi i/N), the identity
+    sum_k 1/(1 - z omega^-k) = N/(1 - z^N) gives the rule as P_N = (I - W^N)^{-1}
+    (Trefethen and Weideman, SIAM Rev. 56, 2014).  It is evaluated on a
+    complex Schur form sorted so that the k eigenvalues inside the contour
+    come first, where W^N stays bounded in both diagonal blocks: F11 =
+    (I - W11^N)^{-1}, F22 = -V^N (I - V^N)^{-1} for V = W22^{-1}, and F12
+    solves W11 F12 - F12 W22 = F11 W12 - W12 F22, since F commutes with W.
+    """
+    c, r, N = spec.center, spec.radius, spec.nodes
+    R, U, k = schur(T.complex_adjoint(), output="complex", sort=lambda z: abs(z - c) < r)
+    n = len(R)
+    W = (R - c * np.eye(n)) / r
+    F = np.zeros_like(W)
+    if k:
+        F[:k, :k] = np.linalg.inv(np.eye(k) - np.linalg.matrix_power(W[:k, :k], N))
+    if k < n:
+        VN = np.linalg.matrix_power(np.linalg.inv(W[k:, k:]), N)
+        F[k:, k:] = -VN @ np.linalg.inv(np.eye(n - k) - VN)
+    if 0 < k < n:
+        W12 = W[:k, k:]
+        F[:k, k:] = solve_sylvester(W[:k, :k], -W[k:, k:], F[:k, :k] @ W12 - W12 @ F[k:, k:])
+    return from_complex_adjoint(U @ F @ U.conj().T)
 
 
 def blaschke_point_by_degree(a, degree):

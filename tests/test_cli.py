@@ -130,9 +130,10 @@ def test_negative_degree_or_mu_max_exits_3(argv, capsys):
     (["spectrum", "--random", "0"], ">= 1"),
     (["spectrum", "--random", "-1"], ">= 1"),
     (["sspec", "--random", "0", "--point", "2"], ">= 1"),
-    (["verify", "--nodes", "0"], "an even integer >= 16"),
-    (["verify", "--nodes", "17"], "an even integer >= 16"),
-    (["verify", "--nodes", "14"], "an even integer >= 16"),
+    (["spectrum", "--random", "3", "--tol", "-1"], "a finite number >= 0 and below 1"),
+    (["sspec", "--random", "3", "--point", "2", "--tol", "-0.5"],
+     "a finite number >= 0 and below 1"),
+    (["realize", "--demo", "moebius", "--tol", "-1"], "a finite number >= 0"),
     (["spectrum", "--random", "3", "--tol", "nan"], "a finite number >= 0"),
     (["sspec", "--random", "3", "--point", "2", "--tol", "inf"], "a finite number >= 0"),
     (["negsq", "--input", "s.json", "--tol", "-1"], "a finite number >= 0"),
@@ -164,11 +165,13 @@ def test_sspec_relative_tol_at_or_above_1_exits_3(tol, capsys):
     assert "must be a finite number >= 0 and below 1" in capsys.readouterr().err
 
 
-def test_verify_nodes_at_the_contour_minimum_runs(capsys):
-    """16 nodes leave the projector far from idempotent, but the rank of the
-    split is read off the Schur form, not off the projector."""
-    _, out, _ = run(capsys, ["verify", "--suite", "projector", "--nodes", "16"])
-    assert "[PASS] projector/split-rank" in out
+def test_verify_has_no_nodes_flag(capsys):
+    """The projectors are exact, so no node count reaches verify: --nodes is
+    an unknown flag."""
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "projector", "--nodes", "256"])
+    assert exc.value.code == 3
+    assert "unrecognized arguments: --nodes" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 in Q_s(T)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from conftest import PROPERTY, jordan_matrix
 from hypothesis import given, strategies as st
+from oracles import riesz_rule_closed_form
 
 from qschur import (
     ContourOnSpectrumError,
@@ -40,7 +41,7 @@ from qschur.sampling import (
     random_unitary,
     rng,
 )
-from qschur.sresolvent import _contour_sum
+from qschur.sresolvent import _PROJECTOR_NORM_MAX, _contour_sum
 from qschur.verify import _riesz_by_resolvents
 
 
@@ -124,7 +125,7 @@ def test_riesz_projector_properties():
 
 
 def test_riesz_projector_slice_independent():
-    """The closed-form projector equals the node-by-node sum in any slice."""
+    """The exact projector equals the 256-node sum in any slice."""
     g = rng(53)
     T = two_cluster(g)
     spec = ContourSpec(0.0, 1.0, nodes=256)
@@ -135,7 +136,8 @@ def test_riesz_projector_slice_independent():
 
 
 def _closed_form_case(name):
-    """(T, center, radius) for the closed-form rule against the node-by-node sum."""
+    """(T, center, radius) for the closed-form rule against the node-by-node sum
+    and the exact projector."""
     g = rng(59)
     U = random_unitary(g, 3)
     if name == "all-inside":
@@ -167,16 +169,23 @@ def _closed_form_case(name):
 @pytest.mark.parametrize("name", ["all-inside", "all-outside", "center", "underflow",
                                   "jordan", "offset"])
 def test_closed_form_against_node_by_node_sum(name, nodes):
-    """(I - W^N)^{-1} on the reordered Schur form is the N-node rule itself:
-    it matches the sum of S-resolvents node by node, in two slices, and its
-    s-part is T @ P at every N."""
+    """(I - W^N)^{-1} on a sorted Schur form (oracles.riesz_rule_closed_form)
+    is the N-node rule itself: it matches the sum of S-resolvents node by
+    node, in two slices.  At 256 nodes the rule has converged, and the exact
+    projector matches both; its s-part is T @ P."""
     T, center, radius = _closed_form_case(name)
     spec = ContourSpec(center, radius, nodes=nodes)
+    rule = riesz_rule_closed_form(T, spec)
     P = riesz_projector(T, spec)
-    scale = 1.0 + P.norm()
+    scale = 1.0 + rule.norm()
     for unit in (UnitImaginary(0, 1, 0), random_unit_imaginary(rng(nodes))):
-        assert (P - _riesz_by_resolvents(T, spec, unit)).norm() <= 1e-10 * scale
-    assert (riesz_s_part(T, spec) - T @ P).norm() <= 1e-12 * (1.0 + T.norm()) * scale
+        by_nodes = _riesz_by_resolvents(T, spec, unit)
+        assert (rule - by_nodes).norm() <= 1e-10 * scale
+        if nodes == 256:
+            assert (P - by_nodes).norm() <= 1e-10 * scale
+    if nodes == 256:
+        assert (P - rule).norm() <= 1e-10 * scale
+    assert (riesz_s_part(T, spec) - T @ P).norm() <= 1e-12 * (1.0 + T.norm()) * (1.0 + P.norm())
 
 
 @pytest.mark.parametrize("nodes", [16, 64, 256])
@@ -244,17 +253,17 @@ def test_projector_resolvent_identity():
 
 
 def test_quadrature_convergence():
-    """Node halving: the trapezoid error drops fast; 16 nodes is documented
-    to be far off when the contour passes close to the spectrum."""
+    """Node halving: the node-by-node trapezoid sums converge fast to the
+    exact projector; 16 nodes is documented to be far off when the contour
+    passes close to the spectrum."""
     g = rng(55)
     pts = [Quaternion(0.0, 1.05), Quaternion(1.30, 0.4)]
     T = matrix_with_spectrum(g, pts)
-    spec_fine = ContourSpec(0.0, 1.2, nodes=512)
-    fine = riesz_projector(T, spec_fine)
+    exact = riesz_projector(T, ContourSpec(0.0, 1.2))
     errs = []
     for nodes in (16, 64, 256):
-        got = riesz_projector(T, ContourSpec(0.0, 1.2, nodes=nodes))
-        errs.append((got - fine).norm())
+        got = _riesz_by_resolvents(T, ContourSpec(0.0, 1.2, nodes=nodes), None)
+        errs.append((got - exact).norm())
     assert errs[0] > 1e-3          # coarse grid genuinely fails here
     assert errs[2] < 1e-10         # rate is (1.05/1.2)^nodes for this geometry
     assert errs[2] < errs[1] < errs[0]
@@ -264,8 +273,7 @@ def test_contour_through_spectrum_raises():
     T = QMatrix.diag([Quaternion(1.0), Quaternion(3.0)])
     with pytest.raises(ContourOnSpectrumError):
         riesz_projector(T, ContourSpec(0.0, 1.0))
-    # past the sphere check, a node on an eigenvalue of the Schur factor makes
-    # I - W^-N exactly singular, and the triangular inversion says so
+    # past the sphere check, an eigenvalue of the Schur factor on the contour
     R = np.diag([1.0 + 0j, 3.0, 1.0, 3.0])
     with pytest.raises(ContourOnSpectrumError):
         _contour_sum(R, np.eye(4), [], ContourSpec(0.0, 1.0))
@@ -342,13 +350,17 @@ def test_spectral_split_union_is_whole_spectrum():
 @pytest.mark.parametrize("n", [8, 16, 32])
 def test_spectral_split_rank_is_the_enclosed_multiplicity(n, center, radius):
     """Dense random T with eigenvalues spread over the disc of radius about
-    1/sqrt(2), so that some sit close to the contour, where the 256-node
-    projector is far from idempotent: rank and basis still follow the
-    enclosed spheres, and the basis spans an invariant subspace."""
+    1/sqrt(2), so that some sit close to the contour, where the 256-node rule
+    is far from idempotent: rank and basis follow the enclosed spheres, the
+    basis spans an invariant subspace, and the exact projector is idempotent
+    relative to its norm, which projector_norm bounds."""
     spec = ContourSpec(center, radius, 256)
     for seed in range(10):
         T = random_qmatrix(rng(seed), n, scale=1.0 / math.sqrt(2 * n))
         split = spectral_split(T, spec)
+        P = split.projector
+        assert np.linalg.norm(P.complex_adjoint(), 2) <= split.projector_norm * (1.0 + 1e-12)
+        assert (P @ P - P).norm() <= 1e-12 * split.projector_norm ** 2
         V = split.basis
         assert split.rank == sum(m for _, m in split.inside) == V.cols
         assert (T @ V - V @ split.restriction).norm() <= 1e-12 * (1.0 + T.norm())
@@ -360,22 +372,27 @@ def test_spectral_split_rank_is_the_enclosed_multiplicity(n, center, radius):
 
 @pytest.mark.parametrize("nodes", [16, 32, 64])
 def test_spectral_split_quadrature_error_bounds_normal_projector(nodes):
-    """For normal T, P_N - P is diagonal in the eigenvectors with entries
-    w^N / (1 - w^N) inside and their analogue outside, so ||P_N - P||_2 lies
-    between rho^N / (1 + rho^N) and quadrature_error = rho^N / (1 - rho^N)."""
+    """For normal T, the N-node rule P_N, summed node by node, minus the
+    exact projector P of spectral_split is diagonal in the eigenvectors with
+    entries w^N / (1 - w^N) inside and their analogue outside, so
+    ||P_N - P||_2 lies between rho^N / (1 + rho^N) and rho^N / (1 - rho^N).
+    P is the eigenvector projector, and its norm certificate reads 1."""
     g = rng(59)
     mods = [0.7, 0.8, 0.9, 1.1, 1.2, 1.3]
     T = matrix_with_spectrum(g, [Quaternion(m * math.cos(t), m * math.sin(t))
                                  for m, t in zip(mods, g.uniform(0.0, math.pi, len(mods)))])
-    split = spectral_split(T, ContourSpec(0.0, 1.0, nodes))
+    spec = ContourSpec(0.0, 1.0, nodes)
+    split = spectral_split(T, spec)
     chi = T.complex_adjoint()
     w, X = np.linalg.eig(chi)
     inside = np.abs(w) < 1.0
     P = X[:, inside] @ np.linalg.inv(X)[inside, :]
-    gap = np.linalg.norm(split.projector.complex_adjoint() - P, 2)
+    assert np.linalg.norm(split.projector.complex_adjoint() - P, 2) <= 1e-13
+    assert math.isclose(split.projector_norm, 1.0, rel_tol=1e-12)
+    rule = _riesz_by_resolvents(T, spec, None).complex_adjoint()
+    gap = np.linalg.norm(rule - split.projector.complex_adjoint(), 2)
     rho_n = max(0.9, 1.0 / 1.1) ** nodes
-    assert rho_n / (1.0 + rho_n) - 1e-13 <= gap <= split.quadrature_error + 1e-13
-    assert math.isclose(split.quadrature_error, rho_n / (1.0 - rho_n), rel_tol=1e-12)
+    assert rho_n / (1.0 + rho_n) - 1e-13 <= gap <= rho_n / (1.0 - rho_n) + 1e-13
 
 
 def test_spectral_split_refuses_a_defective_sphere_spread_across_the_contour():
@@ -392,3 +409,60 @@ def test_spectral_split_refuses_a_defective_sphere_spread_across_the_contour():
     T = jordan_matrix(rng(1), [(Quaternion(1.001), 8), (Quaternion(0.2), 1)], 10.0)
     with pytest.raises(QschurError):
         spectral_split(T, spec)
+
+
+def _refused_or_certified(T, P):
+    """The Jordan contract on a returned projector, relative to its size.
+    Relative to a norm of 1e11 even a useless P passes, so the absolute
+    1e-8 on P^2 - P also checks that such a P is refused."""
+    p = P.norm()
+    assert (P @ P - P).norm() <= min(1e-12 * p * p, 1e-8)
+    assert (P @ T - T @ P).norm() <= 1e-12 * p * T.norm()
+
+
+@pytest.mark.parametrize("beside", [False, True], ids=["alone", "beside"])
+@pytest.mark.parametrize("lam", [Quaternion(0.999), Quaternion(1.001), Quaternion(0.6, 0.8005),
+                                 Quaternion(0.9), Quaternion(0.5, 0.7)], ids=str)
+def test_jordan_blocks_near_the_contour_raise_or_certify(lam, beside):
+    """Jordan blocks of size 2 to 8 at or near the unit circle, under
+    similarities of condition 1 to 1e3, alone or beside spheres at 0.2+0.3i
+    (inside) and 1.8 (outside): riesz_projector and spectral_split either
+    raise a QschurError or return a P with ||P^2 - P|| <= 1e-12 ||P||^2 and
+    ||PT - TP|| <= 1e-12 ||P|| ||T||.  Rounding spreads a defective sphere by
+    about eps^(1/size) and may split it across the contour; the N-node rule
+    then returned a wrong projector in most of these cases.  Size-2 blocks,
+    and blocks 0.09 or more off the contour, always return."""
+    spec = ContourSpec(0.0, 1.0)
+    extra = [(Quaternion(0.2, 0.3), 1), (Quaternion(1.8), 1)] if beside else []
+    clear = abs(abs(lam) - 1.0) >= 0.09
+    for size in (2, 4, 6, 8):
+        for cond in (1.0, 10.0, 1e3):
+            for seed in range(4):
+                T = jordan_matrix(rng(seed), [(lam, size)] + extra, cond)
+                for call in (riesz_projector, spectral_split):
+                    try:
+                        out = call(T, spec)
+                    except QschurError:
+                        assert size > 2 and not clear
+                        continue
+                    _refused_or_certified(T, out if call is riesz_projector else out.projector)
+
+
+def test_projector_norm_certifies_and_bounds_the_projector():
+    """T = [[0.5, c], [0, 1.5]]: Y = -c, so ||P||_2 = sqrt(1 + c^2), and the
+    certificate sqrt(1 + ||Y||_F^2) over chi(T), whose Y has two such
+    entries, lies between ||P||_2 and sqrt(2) ||P||_2.  Beyond
+    _PROJECTOR_NORM_MAX the projector is refused, with its norm bound."""
+    spec = ContourSpec(0.0, 1.0)
+    T = QMatrix.from_entries([[0.5, 1e5], [0.0, 1.5]])
+    split = spectral_split(T, spec)
+    p2 = np.linalg.norm(split.projector.complex_adjoint(), 2)
+    assert math.isclose(p2, math.sqrt(1.0 + 1e10), rel_tol=1e-12)
+    assert p2 <= split.projector_norm <= math.sqrt(2.0) * p2 * (1.0 + 1e-12)
+    assert (split.projector - QMatrix.from_entries([[1.0, -1e5], [0.0, 0.0]])).norm() <= 1e-9
+    assert spectral_split(QMatrix.diag([0.5, 1.5]), spec).projector_norm == 1.0
+    T = QMatrix.from_entries([[0.5, _PROJECTOR_NORM_MAX], [0.0, 1.5]])
+    for call in (riesz_projector, riesz_s_part, spectral_split):
+        with pytest.raises(ContourOnSpectrumError, match="projector norm bound 1.41e"):
+            call(T, spec)
+

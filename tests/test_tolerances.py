@@ -2,8 +2,10 @@
 
 Each tolerance a caller can pass is checked by one validator
 (qmatrix._check_tol): a finite number >= 0, and below 1 when it is relative
-to some norm.  Every value the checks below reject used to hang, end in a
-raw exception or give a silently wrong answer.
+to some norm.  Each count (a degree, a section index, a node count) is
+checked by another (qmatrix._check_count): an integer, not a bool, at least
+a stated minimum.  Every value the checks below reject used to hang, end in
+a raw exception or give a silently wrong answer.
 """
 
 import contextlib
@@ -11,19 +13,24 @@ import dataclasses
 import inspect
 import signal
 
+import numpy as np
 import pytest
 
 import qschur
 from qschur import (
     BlaschkeProduct,
     ContourSpec,
+    ShapeError,
     InvalidSpecError,
     KernelCoeffs,
     KLFactorization,
     QMatrix,
     Quaternion,
     SliceSeries,
+    blaschke_point,
     blaschke_product,
+    blaschke_reciprocal,
+    blaschke_sphere,
     gram_schmidt_columns,
     herm_eig,
     indefinite_gram_schmidt,
@@ -179,3 +186,50 @@ def test_contour_needs_finite_center_and_radius(center, radius):
     of rank 0."""
     with pytest.raises(InvalidSpecError, match="contour"):
         ContourSpec(center, radius)
+
+
+# -- validated counts ------------------------------------------------------------
+
+BAD_COUNTS = [-1, -2, 2.5, 8.0, True, "8", None]
+
+
+@pytest.mark.parametrize("mu_max", BAD_COUNTS)
+def test_neg_squares_rejects_bad_mu_max(mu_max):
+    """mu_max = -1 used to read kappa = 0 from no section at all, and 2.5
+    ended in a raw TypeError."""
+    S = blaschke_product([Quaternion(0.4, 0.1)], 20).series
+    with pytest.raises(InvalidSpecError, match="mu_max must be an integer >= 0"):
+        neg_squares(S, mu_max=mu_max)
+    assert neg_squares(S, mu_max=0).counts == [0]
+
+
+@pytest.mark.parametrize("degree", BAD_COUNTS)
+def test_blaschke_series_reject_bad_degree(degree):
+    """degree = -2 used to return a degree-0 series."""
+    a = Quaternion(0.3, 0.2)
+    calls = (lambda d: blaschke_point(a, d), lambda d: blaschke_sphere(a, d),
+             lambda d: blaschke_product([a], d).series,
+             lambda d: blaschke_reciprocal(a, d).series)
+    for call in calls:
+        with pytest.raises(InvalidSpecError, match="degree must be an integer >= 0"):
+            call(degree)
+        assert call(0).degree == 0
+
+
+@pytest.mark.parametrize("nodes", [16.0, 256.0, True, "256", None, 14, 17])
+def test_contour_nodes_must_be_an_even_integer(nodes):
+    """ContourSpec(0, 1, 16.0) used to be accepted; a float, a bool or a
+    string is no node count, even at an integral value."""
+    with pytest.raises(InvalidSpecError, match="nodes must be"):
+        ContourSpec(0.0, 1.0, nodes)
+    assert ContourSpec(0.0, 1.0, np.int64(16)).nodes == 16
+
+
+def test_non_matrix_operands_are_shape_errors():
+    """stein_solve(A, C, None) and riesz_projector([[1.0]], spec) used to end
+    in a raw TypeError from as_qmatrix."""
+    A = random_qmatrix(rng(6), 2, scale=0.3)
+    with pytest.raises(ShapeError, match="cannot interpret None"):
+        stein_solve(A, random_qmatrix(rng(7), 1, 2), None)
+    with pytest.raises(ShapeError, match="cannot interpret"):
+        riesz_projector([[1.0]], ContourSpec(0.0, 1.0))
