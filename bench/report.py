@@ -42,13 +42,15 @@ def run_iqr(values):
     return q3 - q1
 
 
-def verdict(wins, parent, change):
-    """claim, regress or unresolved, from the pair wins and the medians and
-    run-median IQR of each side (see the module docstring)."""
-    gap = parent["median_s"] - change["median_s"]
-    if wins >= DECISIVE_WINS and gap > parent["run_iqr_s"]:
+def verdict(wins, losses, gain, parent_iqr):
+    """claim, regress or unresolved: `claim` when the change wins at least
+    DECISIVE_WINS of the PAIRS pairs and its median is better than the
+    parent's by more than parent_iqr (gain is that difference, positive when
+    the change is better), `regress` when the parent does so against the
+    change; ties count for neither side."""
+    if wins >= DECISIVE_WINS and gain > parent_iqr:
         return "claim"
-    if PAIRS - wins >= DECISIVE_WINS and -gap > parent["run_iqr_s"]:
+    if losses >= DECISIVE_WINS and -gain > parent_iqr:
         return "regress"
     return "unresolved"
 
@@ -90,9 +92,11 @@ def main(argv=None):
         a, b = row["parent"]["checksum"], row["change"]["checksum"]
         row["speedup"] = row["parent"]["median_s"] / row["change"]["median_s"]
         row["checksum_rel_diff"] = abs(a - b) / max(abs(a), abs(b), 1e-300)
-        row["wins"] = sum(c < p for p, c in zip(row["parent"]["run_medians_s"],
-                                               row["change"]["run_medians_s"]))
-        row["verdict"] = verdict(row["wins"], row["parent"], row["change"])
+        pairs = list(zip(row["parent"]["run_medians_s"], row["change"]["run_medians_s"]))
+        row["wins"] = sum(c < p for p, c in pairs)
+        row["verdict"] = verdict(row["wins"], sum(c > p for p, c in pairs),
+                                 row["parent"]["median_s"] - row["change"]["median_s"],
+                                 row["parent"]["run_iqr_s"])
         cases[name] = row
     report = {"host": {"cpu_count": os.cpu_count(), "machine": platform.machine(),
                        "python": platform.python_version(), "numpy": numpy.__version__,

@@ -1,4 +1,5 @@
-"""Fixed-seed size sweeps of the layers under `realize` -> `kl-factor`, of
+"""Fixed-seed size sweeps of the layers under `realize` -> `kl-factor` (the
+Stein solve, the completion and the CLI pipeline), of
 the Riesz projector and the spectral split, of the Blaschke series under `neg_squares`, and of the
 kernel layer: `neg_squares` and `kernel_identity_residuals`.
 
@@ -26,12 +27,14 @@ from qschur import (
     blaschke_product,
     blaschke_reciprocal,
     herm_eig,
+    inverse,
     j_unitary_complete,
     kernel_identity_residuals,
     neg_squares,
     signature_blocks,
     star_inverse,
     star_mul,
+    stein_solve,
     vstack,
 )
 from qschur.kernels import KernelCoeffs
@@ -111,6 +114,27 @@ def test_j_unitary_complete(benchmark, n, m, sigma):
     R = benchmark(j_unitary_complete, A, C, S)
     Z = vstack([R.B, R.D])
     benchmark.extra_info["checksum"] = (Z @ S @ Z.adjoint()).norm() + R.P.norm()
+
+
+@pytest.mark.parametrize("n, kind", [(4, "random"), (12, "random"), (20, "random"), (8, "jordan")])
+def test_stein_solve(benchmark, n, kind):
+    """Stein solution for the `realize` spectra (two spheres outside the
+    unit ball, the rest at modulus 0.85), or for a non-normal A: a size-4
+    Jordan block at 0.6 + 0.5i beside one at 1.3j, under a similarity of
+    condition number 10.  The checksum is ||P||."""
+    gen = rng(900 + n)
+    if kind == "jordan":
+        S = random_unitary(gen, n) @ QMatrix.diag(np.linspace(1.0, 10.0, n).tolist())
+        J = QMatrix.diag([Quaternion(0.6, 0.5)] * 4 + [Quaternion(0.0, 0.0, 1.3)] * 4)
+        A = S @ (J + QMatrix.from_real(np.diag([1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0], 1))) @ inverse(S)
+    else:
+        angles = (np.arange(n) + 0.5) * np.pi / n
+        mods = np.r_[1.15, 1.2, np.full(n - 2, 0.85)]
+        A = matrix_with_spectrum(gen, [Quaternion(r * np.cos(t), r * np.sin(t))
+                                       for r, t in zip(mods, angles)])
+    C = random_qmatrix(gen, 2, n)
+    P, _ = benchmark(stein_solve, A, C, signature_blocks(1, 1, 0))
+    benchmark.extra_info["checksum"] = P.norm()
 
 
 def _cli(argv):

@@ -67,7 +67,8 @@ class NotObservableError(QschurError, ValueError):
 
 
 class CompletionFailureError(QschurError):
-    """Indefinite Gram-Schmidt met a neutral vector; completion impossible."""
+    """A completion step failed: indefinite Gram-Schmidt met a neutral vector,
+    or no real shift alpha = +-1 makes alpha I - A well conditioned."""
 
 
 class OnPoleSphereError(QschurError):

@@ -12,11 +12,14 @@ which certifies the metric structure: when (B, D) complete the column
 diag(P, sigma), the kernel coefficients of S are carried by P alone, and
 the number of its negative eigenvalues counts the negative squares.
 
-Completion is performed constructively in the state coordinates: [B; D]
-spans the diag(P, sigma)-orthogonal complement of [A; C], which one
-Hermitian congruence of its Gram matrix makes metric-orthonormal and a
-factorization of sigma carries onto sigma.  For a definite sigma the result
-is then brought to one canonical form.
+P comes from the complex Schur form of chi(A), one triangular solve per
+column.  Completion is one closed form for every sigma (Alpay, Colombo and
+Sabadini, IEOT 72, 2012): [B; D] = [(alpha I - A) K; alpha I - C K] with
+K = P^{-1} (alpha I - A)^{-*} C* sigma, for the real shift alpha = +-1 whose
+alpha I - A is better conditioned.  One refinement, a projection in the
+metric H = diag(P, sigma) and a Hermitian congruence, keeps the J-unitary
+residual at rounding level, and for a definite sigma the result is then
+brought to one canonical form.
 """
 
 from __future__ import annotations
@@ -25,10 +28,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.blas import ztrsv
+from scipy.linalg.lapack import zgecon, zgetrf, zgetrs
 
 from .errors import (
     BadSignatureError,
+    CompletionFailureError,
     InvalidModulusError,
     NonFiniteInputError,
     NotHermitianError,
@@ -41,6 +46,7 @@ from .errors import (
 from .quat import Quaternion, sphere_of
 from .qmatrix import (
     QMatrix,
+    _check_count,
     _column_echelon,
     _leading_basis,
     _schur,
@@ -48,13 +54,12 @@ from .qmatrix import (
     as_qmatrix,
     block,
     from_complex_adjoint,
+    gram_schmidt_columns,
     herm_eig,
-    hstack,
     indefinite_gram_schmidt,
+    hstack,
     inverse,
     is_invertible,
-    null_basis,
-    solve,
     vstack,
 )
 from .series import (
@@ -133,9 +138,11 @@ def stein_solve(A, C, sigma):
 
     Solved on the complex adjoint from its complex Schur form
     chi(A) = U R U* (Kitagawa 1977): Y = U* P U satisfies Y - R* Y R = U* Q U,
-    which fixes the columns of Y in turn, column j by one lower-triangular
-    solve with I - R_jj R*.  That is O(n^3) time and O(n^2) memory, and the
-    eigenvalues of chi(A) for the resonance test are the diagonal of R.
+    which fixes the columns of Y in turn, column j by one triangular solve
+    with I - R_jj R* (the BLAS ztrsv, on the upper triangular
+    I - conj(R_jj) R, transposed).  That is O(n^3) time and O(n^2) memory,
+    and the eigenvalues of chi(A) for the resonance test are the diagonal
+    of R.
 
     Returns
     -------
@@ -148,15 +155,18 @@ def stein_solve(A, C, sigma):
         If A is not square, C does not have A's column count or sigma is
         not square with C's row count.
     NonFiniteInputError
-        If A holds a NaN or infinite entry.
+        If A, C or sigma holds a NaN or infinite entry.
     SteinSingularError
         If some pair of right eigenvalues of A has lambda_i conj(lambda_j)
         on the unit circle (the Stein operator is then singular), or if the
         computed solution fails to satisfy the equation.
     """
-    A = as_qmatrix(A)
-    C = as_qmatrix(C)
-    sigma = as_qmatrix(sigma)
+    P = _stein_solution(as_qmatrix(A), as_qmatrix(C), as_qmatrix(sigma))
+    return P, is_invertible(P)
+
+
+def _stein_solution(A, C, sigma):
+    """P of stein_solve, without the invertibility decision."""
     R, U = _schur(A)
     if C.cols != A.rows or sigma.shape != (C.rows, C.rows):
         raise ShapeError("Stein data: A %s, C %s and sigma %s do not fit together"
@@ -170,19 +180,34 @@ def stein_solve(A, C, sigma):
             "eigenvalue resonance lambda_i conj(lambda_j) = 1 "
             "(|lambda_i| = %g, |lambda_j| = %g)" % (abs(w[i]), abs(w[j])))
     Q = C.adjoint() @ sigma @ C
-    F = U.conj().T @ Q.complex_adjoint() @ U
+    F = Q.complex_adjoint()
+    if not np.isfinite(F).all():
+        raise NonFiniteInputError("C and sigma must hold finite numbers")
+    F = U.conj().T @ F @ U
     Rh = R.conj().T
-    eye = np.eye(len(R))
-    Y = np.zeros_like(F)
-    for j in range(len(R)):
-        rhs = F[:, j] + Rh @ (Y[:, :j] @ R[:j, j])
-        Y[:, j] = solve_triangular(eye - R[j, j] * Rh, rhs, lower=True)
+    k = len(R)
+    Y = np.empty_like(F)
+    # column j solves with I - R_jj R*, the adjoint (trans=2) of the upper
+    # triangular I - conj(R_jj) R
+    for j in range(k):
+        N = R * -np.conj(R[j, j])
+        N.flat[::k + 1] += 1.0
+        Y[:, j] = ztrsv(N, F[:, j] + Rh @ (Y[:, :j] @ R[:j, j]), trans=2)
     P = from_complex_adjoint(U @ Y @ U.conj().T)
     P = (P + P.adjoint()) * 0.5
     res = (P - A.adjoint() @ P @ A - Q).norm()
     if res > 1e-6 * (1.0 + Q.norm()):
         raise SteinSingularError("Stein solve failed (residual %g)" % res)
-    return P, is_invertible(P)
+    return P
+
+
+def _inertia(w):
+    """(positive, negative) counts of a quaternionic Hermitian matrix from
+    the eigenvalues w of its chi, in ascending order: one per duplicate
+    pair, and |eigenvalue| at most 1e-8 max|eigenvalue| counts as zero."""
+    pairs = (w[0::2] + w[1::2]) / 2
+    tol = 1e-8 * np.abs(w).max()
+    return int(np.sum(pairs > tol)), int(np.sum(pairs < -tol))
 
 
 def _phase_normalize_columns(Y):
@@ -192,14 +217,31 @@ def _phase_normalize_columns(Y):
     first entry of largest modulus, so that entry becomes positive real; a
     zero column is left alone.  Right scaling by a unit quaternion preserves
     indefinite-metric orthonormality, so this only removes the arbitrariness
-    of the numerical null basis and makes completions reproducible (and the
-    canonical scalar cases exact).
+    of the congruence factor and makes completions reproducible.
     """
     lead = (np.argmax(np.abs(Y._a) ** 2 + np.abs(Y._b) ** 2, axis=0), np.arange(Y.cols))
     a, b = Y._a[lead], Y._b[lead]
     mod = np.sqrt(np.abs(a) ** 2 + np.abs(b) ** 2)
     mod[mod == 0.0] = 1.0                      # a zero column stays zero
     return Y @ QMatrix(np.diag(np.conj(a) / mod), np.diag(-b / mod), copy=False)
+
+
+# the real shifts alpha of the completion formula, tried in this order; a
+# shift whose chi(alpha I - A) has a reciprocal condition estimate at or
+# below _SHIFT_RCOND is refused
+_SHIFTS = (1.0, -1.0)
+_SHIFT_RCOND = 1e-8
+
+
+def _shifted_lu(chiA, alpha):
+    """(rcond, alpha, lu, piv): the LU factors of chi(alpha I - A) = alpha I - chiA
+    and LAPACK's estimate of their reciprocal condition number in the 1-norm
+    (zero for an exactly singular factor)."""
+    M = -chiA
+    M.flat[::len(M) + 1] += alpha
+    lu, piv, info = zgetrf(M)
+    rcond = zgecon(lu, np.abs(M).sum(axis=0).max())[0] if info == 0 else 0.0
+    return rcond, alpha, lu, piv
 
 
 def j_unitary_complete(A, C, sigma):
@@ -209,30 +251,53 @@ def j_unitary_complete(A, C, sigma):
     finds B, D such that U = [[A, B], [C, D]] satisfies
     U* H U = H for H = diag(P, sigma), with P the Stein solution.
 
-    [B; D] spans the kernel of [A* P, C* sigma], the H-orthogonal complement
-    of [A; C].  It has dimension m because [A; C]* H [A; C] = P is
-    invertible, and H has sigma's inertia on it.  indefinite_gram_schmidt
-    makes a basis Y of it H-orthonormal by one Hermitian congruence of its
-    m x m Gram matrix; Y Q for the Q with Q* diag(signs) Q = sigma is then a
-    completion, and the completions are [B; D] Q over all Q with
-    Q* sigma Q = sigma.  For a definite sigma the one returned is canonical:
-    [B; D] |sigma|^{-1/2} is in pivoted column echelon form (_column_echelon),
-    so it does not depend on the null basis or on the congruence factor the
-    computation passes through; with one output, the largest entry of [B; D]
-    is positive real.  For an indefinite sigma each column of Y only has its
-    phase fixed (_phase_normalize_columns) before Q = W* from
-    sigma = W diag(I, -I) W*.
+    One closed form gives a completion for every sigma (Alpay, Colombo and
+    Sabadini, IEOT 72, 2012): for a real alpha = +-1 outside the right
+    spectrum of A,
+
+        [B; D] = [(alpha I - A) K; alpha I - C K],
+        K = P^{-1} (alpha I - A)^{-*} C* sigma.
+
+    alpha must be real, because a non-real quaternion does not commute with
+    the entries.  Of alpha = 1 and alpha = -1 the one taken is the one whose
+    chi(alpha I - A) has the larger LAPACK reciprocal condition estimate
+    (zgetrf and zgecon), and its LU factors solve for K.  P and P^{-1} come
+    from one eigh of chi(P), which also decides observability.
+
+    The closed form alone is J-unitary only to about
+    eps cond(P) ||[B; D]||^2 / rcond, and for a mixed-sign sigma ||[B; D]||
+    has no bound, since the completions [B; D] Q, Q* sigma Q = sigma,
+    include hyperbolic Q.  So one refinement follows, with H = diag(P, sigma):
+    [A; C] is projected out of [B; D] in the metric H, and the result is
+    made H-orthonormal, Y = Z |Z* H Z|^{-1/2} for a definite sigma.  For a
+    mixed-sign sigma the projection starts from an orthonormal basis of the
+    span of [B; D] (gram_schmidt_columns), and indefinite_gram_schmidt then
+    gives H-orthonormal columns Y that are also orthogonal.  That keeps the
+    residual at the rounding level of a Hermitian congruence.
+
+    The completion returned is then fixed as follows.  For a definite sigma
+    it is canonical, _column_echelon(Y) |sigma|^{1/2}, which depends neither
+    on alpha nor on any eigenvector phase; with one output, the largest
+    entry of [B; D] is positive real.  For an indefinite
+    sigma = W diag(I, -I) W* (herm_eig), the columns of Y have their phases
+    fixed (_phase_normalize_columns) before the factor W* returns.
 
     Returns the full Realization (with sigma and P attached).
 
     Raises
     ------
-    NotObservableError     if the Stein solution is singular, or has an
-                           eigenvalue of modulus at most 1e-8 max|eigenvalue|
-    BadSignatureError      if sigma is singular, or the complement dimension
-                           or signature does not match sigma
-    CompletionFailureError if a neutral direction blocks orthonormalization
+    NotObservableError     if the Stein solution has an eigenvalue of
+                           modulus at most 1e-8 max|eigenvalue| (this
+                           includes a singular one)
+    BadSignatureError      if sigma is singular
+    CompletionFailureError if chi(alpha I - A) has a reciprocal condition
+                           estimate (1-norm) at most _SHIFT_RCOND = 1e-8 for
+                           both alpha = 1 and -1 (about d^k for a size-k
+                           Jordan block at distance d from alpha), or if the
+                           refinement meets a neutral direction or a
+                           signature other than sigma's
     NotHermitianError      if sigma is not Hermitian
+    SteinSingularError     and the other errors of stein_solve
     """
     A = as_qmatrix(A)
     C = as_qmatrix(C)
@@ -240,36 +305,49 @@ def j_unitary_complete(A, C, sigma):
     if sigma.herm_defect() > 1e-10 * (1.0 + sigma.norm()):
         raise NotHermitianError("sigma must be Hermitian")
     n, m = A.rows, C.rows
-    P, invertible = stein_solve(A, C, sigma)
-    if not invertible:
-        raise NotObservableError("Stein solution is singular; pair not observable")
-    lam = np.abs(np.linalg.eigvalsh(P.complex_adjoint()))
-    if lam.min() <= 1e-8 * lam.max():
-        raise NotObservableError("Stein solution has a zero eigenvalue (|eigenvalue| "
-                                 "ratio %g)" % (lam.min() / lam.max()))
+    P = _stein_solution(A, C, sigma)
+    lam, V = np.linalg.eigh(P.complex_adjoint())
+    mod = np.abs(lam)
+    if mod.min() <= 1e-8 * mod.max():
+        raise NotObservableError("Stein solution is singular (|eigenvalue| ratio %g); "
+                                 "pair not observable"
+                                 % (mod.min() / mod.max() if mod.max() else 0.0))
     w, U = np.linalg.eigh(sigma.complex_adjoint())
-    pairs = (w[0::2] + w[1::2]) / 2            # chi's eigenvalues come in duplicates
-    tol = 1e-8 * np.abs(w).max()
-    t, s = int(np.sum(pairs > tol)), int(np.sum(pairs < -tol))
+    t, s = _inertia(w)
     if t + s < m:
         raise BadSignatureError("sigma is singular")
+    chiA = A.complex_adjoint()
+    rcond, alpha, lu, piv = max((_shifted_lu(chiA, alpha) for alpha in _SHIFTS),
+                                key=lambda f: f[0])
+    if rcond <= _SHIFT_RCOND:
+        raise CompletionFailureError(
+            "alpha I - A is ill-conditioned for alpha = 1 and -1 (reciprocal "
+            "condition estimate %g)" % rcond)
+    X = zgetrs(lu, piv, C.complex_adjoint().conj().T, trans=2)[0]  # (alpha I - A)^{-*} C*
+    Pinv = (V / lam) @ V.conj().T
+    K = from_complex_adjoint(Pinv @ X) @ sigma
+    G = vstack([A, C])
+    Z = vstack([K, QMatrix.eye(m)]) * alpha - G @ K
+    # refinement: project [A; C] out in the metric H, then make the columns
+    # H-orthonormal; with a mixed-sign sigma, start from an orthonormal
+    # basis of the span, which drops the unbounded hyperbolic factor
     H = block([[P, QMatrix.zeros(n, m)], [QMatrix.zeros(m, n), sigma]])
-    N = null_basis(vstack([A, C]).adjoint() @ H)
-    if N.cols != m:
-        raise BadSignatureError(
-            "metric complement has dimension %d, expected %d" % (N.cols, m))
-    Y, signs = indefinite_gram_schmidt(N, H)
-    if signs.count(1.0) != t or signs.count(-1.0) != s:
-        raise BadSignatureError(
-            "complement signature (%d, %d) does not match sigma's (%d, %d)"
-            % (signs.count(1.0), signs.count(-1.0), t, s))
     if t and s:
+        Z = gram_schmidt_columns(Z)[0]
+    chiG, chiH, z = G.complex_adjoint(), H.complex_adjoint(), Z.complex_adjoint()
+    z = z - chiG @ (Pinv @ (chiG.conj().T @ (chiH @ z)))
+    if t and s:
+        Y, signs = indefinite_gram_schmidt(from_complex_adjoint(z), H)
+        if signs.count(1.0) != t or len(signs) != m:
+            raise CompletionFailureError("completion lost its signature (%d of %d positive "
+                                         "directions, %d of %d in all)"
+                                         % (signs.count(1.0), t, len(signs), m))
         _, W = herm_eig(sigma)
         Z = _phase_normalize_columns(Y) @ W.adjoint()
     else:
-        # Y W* |sigma|^{-1/2} is Y times a unitary, which the echelon form ignores
-        root = from_complex_adjoint((U * np.sqrt(np.abs(w))) @ U.conj().T)  # |sigma|^{1/2}
-        Z = _column_echelon(Y) @ root
+        mu, X = np.linalg.eigh(z.conj().T @ chiH @ z)
+        Y = from_complex_adjoint(z @ ((X / np.sqrt(np.abs(mu))) @ X.conj().T))
+        Z = _column_echelon(Y) @ from_complex_adjoint((U * np.sqrt(np.abs(w))) @ U.conj().T)
     B = QMatrix(Z._a[:n, :], Z._b[:n, :])
     D = QMatrix(Z._a[n:, :], Z._b[n:, :])
     return Realization(A, B, C, D, sigma=sigma, P=P)
@@ -279,8 +357,10 @@ def realization_series(R, degree):
     """Taylor coefficients D, CB, CAB, CA^2B, ... as a SliceSeries.
 
     All of them come from one power sweep on the complex adjoint, by
-    doubling: about 2 log2(degree) array products in all.
+    doubling: about 2 log2(degree) array products in all.  Raises
+    InvalidSpecError unless degree is an integer >= 0.
     """
+    _check_count("degree", degree, 0)
     return _state_space_series(R.A, R.B, R.C, R.D, degree)
 
 
@@ -332,22 +412,8 @@ def kernel_identity_residuals(R, pairs, degree=64):
 
 
 def realization_sigma_I(A, C):
-    """Completion in the definite case sigma = I by explicit formulas.
-
-    With K = P^{-1} (I - A)^{-*} C*:  B = (I - A) K and D = I - C K.
-    Needs 1 outside the right spectrum of A (so that I - A is invertible).
-    """
-    A = as_qmatrix(A)
-    C = as_qmatrix(C)
-    n, m = A.rows, C.rows
-    sigma = QMatrix.eye(m)
-    P, invertible = stein_solve(A, C, sigma)
-    if not invertible:
-        raise NotObservableError("Stein solution is singular; pair not observable")
-    K = solve(P, solve((QMatrix.eye(n) - A).adjoint(), C.adjoint()))
-    B = (QMatrix.eye(n) - A) @ K
-    D = QMatrix.eye(m) - C @ K
-    return Realization(A, B, C, D, sigma=sigma, P=P)
+    """The completion of j_unitary_complete in the definite case sigma = I."""
+    return j_unitary_complete(A, C, QMatrix.eye(as_qmatrix(C).rows))
 
 
 def cascade(R1, R2):
@@ -451,11 +517,8 @@ def krein_langer_factor(R, degree=48):
     out = j_unitary_complete(V.adjoint() @ R.A @ V, R.C @ V, sigma)
     # the signature of P from the eigenvalues of chi(P), one per duplicate
     # pair; j_unitary_complete has already refused eigenvalues near zero
-    w = np.linalg.eigvalsh(out.P.complex_adjoint())
-    pairs = (w[0::2] + w[1::2]) / 2
-    tol = 1e-8 * np.abs(w).max()
-    t, s = int(np.sum(pairs > tol)), int(np.sum(pairs < -tol))
-    z = len(pairs) - t - s
+    t, s = _inertia(np.linalg.eigvalsh(out.P.complex_adjoint()))
+    z = out.state_dim - t - s
     if t or z:
         raise BadSignatureError(
             "outside Stein solution has signature (%d, %d, %d); "

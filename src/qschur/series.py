@@ -19,7 +19,7 @@ from scipy.linalg import solve_triangular
 
 from .errors import NotInvertibleAtZeroError, ShapeError, SingularMatrixError
 from .quat import Quaternion
-from .qmatrix import QMatrix, as_qmatrix, from_complex_adjoint, inverse, vstack
+from .qmatrix import QMatrix, _check_count, as_qmatrix, from_complex_adjoint, inverse, vstack
 
 
 class SliceSeries:
@@ -316,7 +316,9 @@ def _state_space_series(A, B, C, D, degree):
 
 
 def star_resolvent(A, degree):
-    """The series (I - pA)^{-*} = sum_n p^n A^n, truncated at degree."""
+    """The series (I - pA)^{-*} = sum_n p^n A^n, truncated at degree.
+    Raises InvalidSpecError unless degree is an integer >= 0."""
+    _check_count("degree", degree, 0)
     A = as_qmatrix(A)
     if not A.is_square():
         raise ShapeError("resolvent series of a non-square matrix")

@@ -1,35 +1,43 @@
 """Slow per-object references that the array paths in src/ replaced.
 
-Each is the loop the library ran before its array form; tests pin the
-array form to it.
+Each is the loop, or the older algorithm, that the library ran before its
+current form; tests pin the current form to it.
 """
 
 import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import schur, solve_sylvester
+from scipy.linalg import schur, solve_sylvester, solve_triangular
 
 from qschur import (
+    BadSignatureError,
     CompletionFailureError,
     HermSpectrum,
     NegSquares,
     NotHermitianError,
     QMatrix,
     Quaternion,
+    Realization,
     SliceSeries,
     star_inverse,
     star_mul,
 )
 from qschur.qmatrix import (
+    _column_echelon,
     _columns_from_complex,
+    block,
     from_complex_adjoint,
     gram_schmidt_columns,
+    herm_eig,
     hstack,
+    indefinite_gram_schmidt,
     inverse,
+    null_basis,
     solve,
     vstack,
 )
+from qschur.realization import _phase_normalize_columns
 from qschur.kernels import KernelCoeffs
 from qschur.series import lower_toeplitz
 
@@ -200,6 +208,50 @@ def riesz_rule_closed_form(T, spec):
         W12 = W[:k, k:]
         F[:k, k:] = solve_sylvester(W[:k, :k], -W[k:, k:], F[:k, :k] @ W12 - W12 @ F[k:, k:])
     return from_complex_adjoint(U @ F @ U.conj().T)
+
+
+def stein_solve_by_columns(A, C, sigma):
+    """P - A* P A = C* sigma C by the column recursion on the complex Schur
+    form chi(A) = U R U*, one scipy solve_triangular per column: column j of
+    Y = U* P U solves (I - R_jj R*) y = F_j + R* (Y_{<j} R_{<j, j})."""
+    R, U = schur(A.complex_adjoint(), output="complex")
+    F = U.conj().T @ (C.adjoint() @ sigma @ C).complex_adjoint() @ U
+    Rh = R.conj().T
+    eye = np.eye(len(R))
+    Y = np.zeros_like(F)
+    for j in range(len(R)):
+        rhs = F[:, j] + Rh @ (Y[:, :j] @ R[:j, j])
+        Y[:, j] = solve_triangular(eye - R[j, j] * Rh, rhs, lower=True)
+    P = from_complex_adjoint(U @ Y @ U.conj().T)
+    return (P + P.adjoint()) * 0.5
+
+
+def j_unitary_complete_by_null_basis(A, C, sigma):
+    """j_unitary_complete through the metric complement: [B; D] from a null
+    basis of [A; C]* H, H = diag(P, sigma), made H-orthonormal by
+    indefinite_gram_schmidt, then brought to the same canonical form
+    (definite sigma) or phase-normalized and multiplied by W* for
+    sigma = W diag(I, -I) W* (indefinite sigma).
+
+    Raises BadSignatureError when the null basis does not have sigma's
+    dimension, or the complement not sigma's signature."""
+    n, m = A.rows, C.rows
+    P = stein_solve_by_columns(A, C, sigma)
+    H = block([[P, QMatrix.zeros(n, m)], [QMatrix.zeros(m, n), sigma]])
+    N = null_basis(vstack([A, C]).adjoint() @ H)
+    if N.cols != m:
+        raise BadSignatureError("metric complement has dimension %d, expected %d" % (N.cols, m))
+    Y, signs = indefinite_gram_schmidt(N, H)
+    w, U = np.linalg.eigh(sigma.complex_adjoint())
+    t, s = int(np.sum(w > 0)) // 2, int(np.sum(w < 0)) // 2
+    if (signs.count(1.0), signs.count(-1.0)) != (t, s):
+        raise BadSignatureError("complement signature does not match sigma's")
+    if t and s:
+        _, W = herm_eig(sigma)
+        Z = _phase_normalize_columns(Y) @ W.adjoint()
+    else:
+        Z = _column_echelon(Y) @ from_complex_adjoint((U * np.sqrt(np.abs(w))) @ U.conj().T)
+    return Realization(A, Z[:n, :], C, Z[n:, :], sigma=sigma, P=P)
 
 
 def blaschke_point_by_degree(a, degree):

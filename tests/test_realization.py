@@ -9,6 +9,7 @@ import qschur.qmatrix as qmatrix_module
 import qschur.realization as realization_module
 from qschur import (
     BadSignatureError,
+    CompletionFailureError,
     ContourSpec,
     InvalidModulusError,
     NonFiniteInputError,
@@ -43,7 +44,7 @@ from qschur import (
     stein_solve,
     vstack,
 )
-from qschur.qmatrix import from_complex_adjoint, herm_eig, inverse, null_basis
+from qschur.qmatrix import from_complex_adjoint, inverse
 from qschur.sampling import (
     ball_point,
     matrix_with_spectrum,
@@ -52,7 +53,12 @@ from qschur.sampling import (
     random_unitary,
     rng,
 )
-from oracles import phase_normalize_columns_loop, realization_series_by_degree
+from oracles import (
+    j_unitary_complete_by_null_basis,
+    phase_normalize_columns_loop,
+    realization_series_by_degree,
+    stein_solve_by_columns,
+)
 
 
 def series_gap(f, g, degree):
@@ -117,6 +123,40 @@ def test_stein_against_kronecker_near_the_unit_circle(near, n):
     assert (P - A.adjoint() @ P @ A - Q).norm() <= 1e-8 * (1.0 + Q.norm())
 
 
+# (Jordan blocks, outputs, signature of sigma): defective spheres inside and
+# outside the ball, beside simple ones
+STEIN_JORDAN_CASES = [
+    ([(Quaternion(0.5, 0.3), 3), (Quaternion(-0.2, 0.0, 0.4), 1)], 1, (1, 0)),
+    ([(Quaternion(0.3, 1.2), 2), (Quaternion(0.2, 0.0, 0.3), 2)], 2, (1, 1)),
+    ([(Quaternion(-0.6, 0.0, 0.0, 0.5), 4), (Quaternion(1.4), 1)], 1, (0, 1)),
+    ([(Quaternion(0.1, 0.2, 0.3), 2), (Quaternion(-1.3, 0.5), 3), (Quaternion(0.7), 1)], 2, (2, 0)),
+]
+
+
+@pytest.mark.parametrize("cond", [1.0, 10.0])
+@pytest.mark.parametrize("case", range(len(STEIN_JORDAN_CASES)))
+def test_stein_solve_matches_column_loop_and_kronecker(case, cond):
+    """The ztrsv recursion against the column loop with scipy's
+    solve_triangular and against one Kronecker solve, on non-normal A.
+
+    The Kronecker solve has its own forward error, which grows with the
+    condition number kappa of its matrix I - chi(A)^T (x) chi(A)*: kappa
+    reaches 5.4e6 for the size-4 block under the cond-10 similarity, where
+    that solve is off by 5.5e-11 (P) while the loop agrees to 2.5e-13.  It
+    is compared at max(1e-12, 1e-16 kappa)."""
+    blocks, m, (t, r) = STEIN_JORDAN_CASES[case]
+    gen = rng(320 + case)
+    A = jordan_matrix(gen, blocks, cond)
+    C = random_qmatrix(gen, m, A.rows)
+    sigma = signature_blocks(t, r, 0)
+    P, _ = stein_solve(A, C, sigma)
+    a = A.complex_adjoint()
+    kappa = np.linalg.cond(np.eye(len(a) ** 2) - np.kron(a.T, a.conj().T))
+    assert (P - stein_solve_by_columns(A, C, sigma)).norm() <= 1e-12 * (1.0 + P.norm())
+    assert ((P - stein_by_kronecker(A, C, sigma)).norm()
+            <= max(1e-12, 1e-16 * kappa) * (1.0 + P.norm()))
+
+
 def test_completion_scalar_shift():
     """A = 0, C = 1, sigma = 1 must complete to S(p) = p exactly."""
     R = j_unitary_complete(QMatrix.scalar(0.0), QMatrix.scalar(1.0), QMatrix.eye(1))
@@ -176,9 +216,11 @@ def test_completion_indefinite_sigma():
                                            (2, "negative")])
 def test_completion_is_canonical_for_definite_sigma(monkeypatch, m, sigma_kind):
     """With a definite sigma, [B; D] does not move when the choices made on
-    the way change: unit quaternion phases on the eigenvectors of sigma and
-    of the Gram matrix of the congruence, and a mixing of the null basis.
-    The state matrix has one sphere outside the ball, so P is indefinite."""
+    the way change: the shift alpha = 1 against alpha = -1, and unit phases
+    on the eigenvectors of every Hermitian eigendecomposition (of chi(P), of
+    chi(sigma) and of the Gram matrix in indefinite_gram_schmidt).  Without
+    the echelon step the two shifts give different completions.  The state matrix has one sphere outside the ball, so P is
+    indefinite."""
     gen = rng(130 + 7 * m + len(sigma_kind))
     pts = [Quaternion(r * np.cos(t), r * np.sin(t))
            for r, t in zip([1.2, 0.7, 0.75, 0.8], np.linspace(0.3, 2.8, 4))]
@@ -189,23 +231,108 @@ def test_completion_is_canonical_for_definite_sigma(monkeypatch, m, sigma_kind):
         F = random_qmatrix(gen, m) + QMatrix.eye(m) * 2.0
         sigma = F @ F.adjoint() * (1.0 if sigma_kind == "positive" else -1.0)
     base = j_unitary_complete(A, C, sigma)
+    Z0 = vstack([base.B, base.D])
+    eigh = np.linalg.eigh
 
-    def phased_herm_eig(H, *args, **kw):
-        spec, V = herm_eig(H, *args, **kw)
-        units = [q * (1.0 / abs(q)) for q in (random_quaternion(gen) for _ in range(V.cols))]
-        return spec, V @ QMatrix.diag(units)
+    def phased_eigh(M, *args, **kw):
+        w, U = eigh(M, *args, **kw)
+        return w, U * np.exp(2j * np.pi * gen.uniform(size=U.shape[1]))
 
-    def mixed_null_basis(M, *args, **kw):
-        N = null_basis(M, *args, **kw)
-        return N @ (random_qmatrix(gen, N.cols) + QMatrix.eye(N.cols) * 2.0)
+    monkeypatch.setattr(np.linalg, "eigh", phased_eigh)
+    for alpha in (1.0, -1.0):
+        monkeypatch.setattr(realization_module, "_SHIFTS", (alpha,))
+        moved = j_unitary_complete(A, C, sigma)
+        assert moved.junitary_residual() <= 1e-9 and base.junitary_residual() <= 1e-9
+        assert (vstack([moved.B, moved.D]) - Z0).norm() <= 1e-10 * (1.0 + Z0.norm())
+    monkeypatch.setattr(realization_module, "_column_echelon", lambda M: M)
+    raw = []
+    for alpha in (1.0, -1.0):
+        monkeypatch.setattr(realization_module, "_SHIFTS", (alpha,))
+        R = j_unitary_complete(A, C, sigma)
+        raw.append(vstack([R.B, R.D]))
+    assert (raw[0] - raw[1]).norm() >= 1e-3 * Z0.norm()
 
-    monkeypatch.setattr(realization_module, "herm_eig", phased_herm_eig)
-    monkeypatch.setattr(qmatrix_module, "herm_eig", phased_herm_eig)
-    monkeypatch.setattr(realization_module, "null_basis", mixed_null_basis)
-    moved = j_unitary_complete(A, C, sigma)
-    assert moved.junitary_residual() <= 1e-9 and base.junitary_residual() <= 1e-9
-    Z0, Z1 = vstack([base.B, base.D]), vstack([moved.B, moved.D])
-    assert (Z1 - Z0).norm() <= 1e-10 * (1.0 + Z0.norm())
+
+def completion_sweep():
+    """324 fixed-seed cases (A, C, sigma, mixed).
+
+    300 random ones: n 2-8, m 1-3, A with entries of scale 0.2-0.6 (some
+    spheres outside the ball, so P is often indefinite), and a diagonal
+    sigma of moduli 0.5-2, mixed-sign in the odd cases with m > 1 and
+    definite otherwise (negative definite in every fourth case).  Then 28
+    non-normal ones: Jordan blocks of size k at 1 + d and -(1 + d), the
+    eigenvalues nearest the two shifts alpha = 1 and -1, beside one simple
+    sphere, under a unitary or a cond-10 similarity (JORDAN_NEAR_SHIFTS),
+    each with sigma = I (m = 1) and diag(1, -1).
+    """
+    gen = rng(7)
+    for case in range(300):
+        n, m, scale = int(gen.integers(2, 9)), int(gen.integers(1, 4)), gen.uniform(0.2, 0.6)
+        A, C = random_qmatrix(gen, n, scale=scale), random_qmatrix(gen, m, n)
+        mags = gen.uniform(0.5, 2.0, size=m)
+        mixed = case % 2 == 1 and m > 1
+        signs = np.ones(m)
+        if mixed:
+            signs[:int(gen.integers(1, m))] = -1.0
+            gen.shuffle(signs)
+        elif case % 4 == 2:
+            signs = -signs
+        yield A, C, QMatrix.diag((mags * signs).tolist()), mixed
+    gen = rng(8)
+    for d, k, cond in JORDAN_NEAR_SHIFTS:
+        A = jordan_near_shifts(gen, d, k, cond)
+        for m in (1, 2):
+            sigma = QMatrix.eye(1) if m == 1 else QMatrix.diag([1.0, -1.0])
+            yield A, random_qmatrix(gen, m, A.rows), sigma, m == 2
+
+
+# (d, k, cond) of jordan_near_shifts; cond(P) reaches 3e7.  Nearer +-1, or
+# with a larger block or similarity, P fails the observability test or the
+# Stein residual check (test_jordan_blocks_at_both_shifts_fail_the_stein_check_first).
+JORDAN_NEAR_SHIFTS = [(d, k, cond) for d in (0.3, 0.1) for k in (2, 3) for cond in (1.0, 10.0)]
+JORDAN_NEAR_SHIFTS += [(0.03, 2, 1.0), (0.03, 2, 10.0), (0.03, 3, 1.0),
+                       (0.01, 2, 1.0), (0.01, 2, 10.0), (0.003, 2, 1.0)]
+
+
+def jordan_near_shifts(gen, d, k, cond):
+    """Size-k Jordan blocks at 1 + d and at -(1 + d) + 0.05 i, and a simple
+    eigenvalue 0.3 + 0.2 i, under a similarity of condition number cond."""
+    return jordan_matrix(gen, [(Quaternion(1.0 + d), k), (Quaternion(-1.0 - d, 0.05), k),
+                               (Quaternion(0.3, 0.2), 1)], cond)
+
+
+def test_closed_form_completion_against_the_null_basis_path():
+    """The closed form with its refinement against the null-basis completion
+    it replaced.
+
+    Both end in a Hermitian congruence on a basis of the H-orthogonal
+    complement of [A; C], so both are J-unitary to rounding relative to
+    1 + ||P|| + ||sigma||.  Measured on this sweep: the ratio of the two
+    residuals has median 0.95 and worst 3.4 (the Stein blocks differ too,
+    since each path solves for P its own way); the worst relative residual
+    is 3.2e-13 (null basis 3.2e-13) for a mixed-sign sigma and 1.6e-11
+    (1.9e-11) for a definite one, where the Stein block grows with
+    cond(P) = max|eig P| / min|eig P|.  For a definite sigma both are the
+    canonical completion, so [B; D] agrees: relative difference median
+    1.3e-14, 99th percentile 3e-10, worst 6.3e-9 (cond(P) 3.2e7), and at
+    most 9.3e-16 cond(P).  For a mixed-sign sigma the two differ by a
+    sigma-unitary factor."""
+    definite = mixed_count = 0
+    for A, C, sigma, mixed in completion_sweep():
+        R = j_unitary_complete(A, C, sigma)
+        want = j_unitary_complete_by_null_basis(A, C, sigma)
+        lam = np.abs(np.linalg.eigvalsh(R.P.complex_adjoint()))
+        cond = lam.max() / lam.min()
+        scale = 1.0 + R.P.norm() + sigma.norm()
+        assert R.junitary_residual() <= 8.0 * want.junitary_residual() + 1e-15 * scale
+        assert R.stein_residual() <= 1e-14 * scale
+        if mixed:
+            mixed_count += 1
+            continue
+        definite += 1
+        Z, W = vstack([R.B, R.D]), vstack([want.B, want.D])
+        assert (Z - W).norm() <= 1e-14 * cond * W.norm()
+    assert (definite, mixed_count) == (218, 110)
 
 
 def near_degenerate_pair(gen, p_eigs, s_eigs):
@@ -261,6 +388,48 @@ def test_phase_normalize_columns_matches_entry_loop():
     assert got.entry(1, 2).is_real() and got.entry(1, 2).real > 0.0
 
 
+def test_completion_refuses_when_both_shifts_are_ill_conditioned():
+    """Eigenvalues 1 + 5e-9 and -(1 + 5e-9) clear the Stein resonance test
+    and give a well-conditioned P, but leave chi(alpha I - A) with a
+    reciprocal condition estimate of about 2.5e-9 for alpha = 1 and -1.
+    The null-basis completion completed this pair."""
+    d = 5e-9
+    A = QMatrix.diag([Quaternion(1.0 + d), Quaternion(-1.0 - d)])
+    with pytest.raises(CompletionFailureError, match="ill-conditioned"):
+        j_unitary_complete(A, QMatrix.from_entries([[1.0, 1.0]]), QMatrix.eye(1))
+
+
+@pytest.mark.parametrize("d, k", [(3e-3, 3), (2e-3, 3), (1e-3, 3), (1e-4, 2), (1e-4, 3), (1e-5, 2)])
+def test_jordan_blocks_at_both_shifts_fail_the_stein_check_first(d, k):
+    """Size-k Jordan blocks at 1 + d and -(1 + d) leave chi(alpha I - A)
+    with a reciprocal condition estimate of about d^k, at most _SHIFT_RCOND
+    for both shifts here.  The Stein operator is then as ill-conditioned,
+    and the Stein residual check refuses the pair before the shift test:
+    the null-basis completion refused these pairs with the same error, so
+    CompletionFailureError is new only for nearly simple eigenvalues."""
+    gen = rng(9)
+    A = jordan_matrix(gen, [(Quaternion(1.0 + d), k), (Quaternion(-1.0 - d), k),
+                            (Quaternion(0.3, 0.2), 1)])
+    chiA = A.complex_adjoint()
+    assert max(realization_module._shifted_lu(chiA, alpha)[0]
+               for alpha in (1.0, -1.0)) <= realization_module._SHIFT_RCOND
+    for m in (1, 2):
+        sigma = QMatrix.eye(1) if m == 1 else QMatrix.diag([1.0, -1.0])
+        with pytest.raises(SteinSingularError):
+            j_unitary_complete(A, random_qmatrix(gen, m, A.rows), sigma)
+
+
+def test_completion_refuses_a_refinement_that_loses_a_direction(monkeypatch):
+    """A basis of the span of [B; D] with fewer than m columns would give a
+    B and D of the wrong shape; it is refused by name."""
+    A, C = QMatrix.eye(2) * 0.5, QMatrix.eye(2)
+    gram_schmidt = realization_module.gram_schmidt_columns
+    monkeypatch.setattr(realization_module, "gram_schmidt_columns",
+                        lambda M: (gram_schmidt(M)[0][0:M.rows, 0:1], 1))
+    with pytest.raises(CompletionFailureError, match="lost its signature"):
+        j_unitary_complete(A, C, QMatrix.diag([1.0, -1.0]))
+
+
 def test_completion_unobservable_raises():
     A = QMatrix.scalar(0.5)
     C = QMatrix.scalar(0.0)  # sees nothing
@@ -268,11 +437,12 @@ def test_completion_unobservable_raises():
         j_unitary_complete(A, C, QMatrix.eye(1))
 
 
-@pytest.mark.parametrize("eps", [1.0, 1e-3, 1e-5, 1e-6])
+@pytest.mark.parametrize("eps", [1.0, 1e-3, 1e-5, 1e-6, 1e-9, 1e-12])
 def test_completion_does_not_depend_on_the_scale_of_C(eps):
     """C -> eps C scales P by eps^2, B by 1/eps and keeps D.  Observability
-    is decided relative to the largest singular value of P; an absolute
-    floor refused the pair at eps = 1e-6."""
+    is decided relative to the largest eigenvalue modulus of P; an absolute
+    floor refused the pair at eps = 1e-6, and the null-basis completion at
+    eps = 1e-9 ("metric complement has dimension 2")."""
     g = rng(5)
     A = random_qmatrix(g, 3, scale=0.3)
     C = random_qmatrix(g, 1, 3)
@@ -677,3 +847,20 @@ def test_stein_solve_checks_shapes():
     bad[0, 1] = np.nan
     with pytest.raises(NonFiniteInputError):
         stein_solve(QMatrix(bad, 0 * bad), QMatrix.eye(2), QMatrix.eye(2))
+
+
+@pytest.mark.parametrize("where", ["C", "sigma"])
+def test_stein_data_must_be_finite(where):
+    """A NaN in C or sigma used to end in a raw ValueError from
+    solve_triangular."""
+    A = QMatrix.eye(2) * 0.5
+    C, sigma = QMatrix.eye(2), QMatrix.eye(2)
+    bad = np.eye(2)
+    bad[1, 0] = np.nan
+    if where == "C":
+        C = QMatrix(bad, np.zeros((2, 2)))
+    else:
+        sigma = QMatrix(bad, np.zeros((2, 2)))
+    for call in (stein_solve, j_unitary_complete):
+        with pytest.raises(NonFiniteInputError):
+            call(A, C, sigma)

@@ -30,6 +30,7 @@ from qschur import (
     blaschke_point,
     blaschke_product,
     blaschke_reciprocal,
+    blaschke_reciprocal_realization,
     blaschke_sphere,
     gram_schmidt_columns,
     herm_eig,
@@ -40,6 +41,7 @@ from qschur import (
     neg_squares,
     null_basis,
     range_basis,
+    realization_series,
     riesz_projector,
     riesz_s_part,
     right_eigen_decomposition,
@@ -50,6 +52,7 @@ from qschur import (
     solve_right,
     star_inverse,
     star_left_eval,
+    star_resolvent,
     star_resolvent_eval,
     star_solve_left,
     stein_solve,
@@ -211,6 +214,18 @@ def test_blaschke_series_reject_bad_degree(degree):
              lambda d: blaschke_product([a], d).series,
              lambda d: blaschke_reciprocal(a, d).series)
     for call in calls:
+        with pytest.raises(InvalidSpecError, match="degree must be an integer >= 0"):
+            call(degree)
+        assert call(0).degree == 0
+
+
+@pytest.mark.parametrize("degree", BAD_COUNTS)
+def test_state_space_series_reject_bad_degree(degree):
+    """realization_series(R, -2) and star_resolvent(A, -3) used to return a
+    degree-0 series, and every non-integer degree ended in a raw TypeError."""
+    R = blaschke_reciprocal_realization(Quaternion(0.3, 0.2))
+    A = random_qmatrix(rng(8), 2, scale=0.3)
+    for call in (lambda d: realization_series(R, d), lambda d: star_resolvent(A, d)):
         with pytest.raises(InvalidSpecError, match="degree must be an integer >= 0"):
             call(degree)
         assert call(0).degree == 0
